@@ -13,6 +13,17 @@
 // fewer than K patterns. Finally the slot stream is emitted through the
 // order-1 Markov opcode coder.
 //
+// Bookkeeping. Every candidate is interned once, under its serialized
+// dictionary entry, in one flat table that outlives the passes: the key's
+// length is the entry's dictionary bytes, its byte order is the ranking's
+// tie-break, and table membership is what "candidates tested" counts.
+// A slot's candidates depend only on its pattern, its concrete
+// instructions and its successor slot, so each slot remembers what it
+// contributed to each candidate's savings. After a rewrite only slots
+// whose pattern or successor changed withdraw their contributions and
+// are generated again; the other slots' contributions stand. The totals
+// are then exactly what regenerating every slot would give.
+//
 //===----------------------------------------------------------------------===//
 
 #include "brisc/Brisc.h"
@@ -21,11 +32,8 @@
 #include "support/Support.h"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
+#include <cstring>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace ccomp;
 using namespace ccomp::brisc;
@@ -42,6 +50,12 @@ struct Slot {
   uint32_t Count = 1;
 };
 
+/// One slot's share of one candidate's gross saving.
+struct Contribution {
+  uint32_t Cand;
+  uint32_t Save;
+};
+
 /// Per-function compression state.
 struct FuncState {
   std::string Name;
@@ -49,12 +63,185 @@ struct FuncState {
   std::vector<uint32_t> LabelPos;
   std::vector<Slot> Slots;
   std::vector<uint8_t> BBStart; ///< Per concrete instruction.
+
+  /// The slots as the candidate table last saw them, and what each
+  /// contributed: slot J's run is Contribs[ContribEnd[J-1], ContribEnd[J]).
+  std::vector<Slot> Scored;
+  std::vector<Contribution> Contribs;
+  std::vector<uint32_t> ContribEnd;
+  bool Changed = true; ///< Slots differ from Scored.
 };
 
-struct Candidate {
-  Pattern P;
-  int64_t GrossSave = 0;
-  uint32_t Uses = 0;
+/// Encoded size of one instance of a pattern with operands \p S.
+unsigned instanceBytes(const OperandShape &S) { return 1 + S.bytes(); }
+
+/// What scoring needs of a dictionary pattern, cached per pattern id.
+struct PatInfo {
+  OperandShape Shape;
+  unsigned Native = 0; ///< Native sequence bytes, both targets summed.
+  bool AllData = true;
+};
+
+PatInfo infoOf(const Pattern &P) {
+  PatInfo I;
+  I.Shape = P.operandShape();
+  I.Native = nativeSeqBytes(P, Target::CISC) + nativeSeqBytes(P, Target::RISC);
+  I.AllData = P.allDataOps();
+  return I;
+}
+
+/// The base dictionary (one fully general pattern per opcode), built
+/// once per process rather than once per compress() call.
+struct BaseDictionary {
+  std::vector<Pattern> Pats;
+  std::vector<PatInfo> Info;
+};
+
+const BaseDictionary &baseDictionary() {
+  static const BaseDictionary D = [] {
+    BaseDictionary B;
+    for (unsigned I = 0; I != static_cast<unsigned>(VMOp::NumOps); ++I) {
+      B.Pats.push_back(Pattern::base(static_cast<VMOp>(I)));
+      B.Info.push_back(infoOf(B.Pats.back()));
+    }
+    return B;
+  }();
+  return D;
+}
+
+/// Every candidate pattern the search has generated, interned under its
+/// serialized dictionary entry (Pattern::serialize). Entries are never
+/// removed: a key is in the table iff some pass has tested it.
+class CandidateTable {
+public:
+  struct Entry {
+    uint32_t KeyOff;
+    uint32_t KeyLen; ///< Also the candidate's dictionary-entry bytes.
+    uint32_t Hash;
+    uint32_t Cost;   ///< Dictionary, successor-table and working-set cost.
+    int64_t GrossSave = 0; ///< Sum of the current slots' contributions.
+    bool InDict = false;   ///< Adopted; no longer a candidate.
+  };
+
+  /// Returns the id of \p Key, inserting it with \p Cost if absent (and
+  /// then setting \p Inserted).
+  uint32_t intern(const uint8_t *Key, size_t Len, uint32_t Cost,
+                  bool &Inserted) {
+    uint32_t H = hashKey(Key, Len);
+    if (2 * (Entries.size() + 1) > Index.size())
+      grow();
+    size_t Mask = Index.size() - 1;
+    for (size_t I = H & Mask;; I = (I + 1) & Mask) {
+      uint32_t Ref = Index[I];
+      if (Ref == 0) {
+        Index[I] = static_cast<uint32_t>(Entries.size() + 1);
+        Entry E;
+        E.KeyOff = static_cast<uint32_t>(Keys.size());
+        E.KeyLen = static_cast<uint32_t>(Len);
+        E.Hash = H;
+        E.Cost = Cost;
+        Keys.insert(Keys.end(), Key, Key + Len);
+        Entries.push_back(E);
+        Inserted = true;
+        return static_cast<uint32_t>(Entries.size() - 1);
+      }
+      const Entry &E = Entries[Ref - 1];
+      if (E.Hash == H && E.KeyLen == Len &&
+          std::memcmp(Keys.data() + E.KeyOff, Key, Len) == 0) {
+        Inserted = false;
+        return Ref - 1;
+      }
+    }
+  }
+
+  Entry &operator[](uint32_t Id) { return Entries[Id]; }
+  const Entry &operator[](uint32_t Id) const { return Entries[Id]; }
+  uint32_t size() const { return static_cast<uint32_t>(Entries.size()); }
+
+  ByteSpan key(uint32_t Id) const {
+    const Entry &E = Entries[Id];
+    return ByteSpan(Keys.data() + E.KeyOff, E.KeyLen);
+  }
+
+  /// std::string's order on the keys: unsigned bytes, then length.
+  bool keyLess(uint32_t A, uint32_t B) const {
+    const Entry &X = Entries[A], &Y = Entries[B];
+    int C = std::memcmp(Keys.data() + X.KeyOff, Keys.data() + Y.KeyOff,
+                        std::min(X.KeyLen, Y.KeyLen));
+    return C != 0 ? C < 0 : X.KeyLen < Y.KeyLen;
+  }
+
+private:
+  static uint32_t hashKey(const uint8_t *K, size_t N) {
+    uint64_t H = 0x9e3779b97f4a7c15ull ^ N;
+    for (; N >= 8; K += 8, N -= 8) {
+      uint64_t W;
+      std::memcpy(&W, K, 8);
+      H = (H ^ W) * 0xbf58476d1ce4e5b9ull;
+      H ^= H >> 31;
+    }
+    uint64_t W = 0;
+    std::memcpy(&W, K, N);
+    H = (H ^ W) * 0x94d049bb133111ebull;
+    H ^= H >> 29;
+    return static_cast<uint32_t>(H ^ (H >> 32));
+  }
+
+  void grow() {
+    std::vector<uint32_t> New(std::max<size_t>(1024, 2 * Index.size()), 0);
+    size_t Mask = New.size() - 1;
+    for (uint32_t Id = 0; Id != Entries.size(); ++Id) {
+      size_t I = Entries[Id].Hash & Mask;
+      while (New[I])
+        I = (I + 1) & Mask;
+      New[I] = Id + 1;
+    }
+    Index.swap(New);
+  }
+
+  std::vector<Entry> Entries;
+  std::vector<uint8_t> Keys;
+  std::vector<uint32_t> Index; ///< Open addressing; entry id + 1, 0 empty.
+};
+
+/// Longest varint (the element count that starts a key).
+constexpr size_t MaxVarBytes = 10;
+
+/// The serialized elements of one slot's pattern, with the one-field
+/// variants that candidate keys are spliced from.
+struct SlotForms {
+  /// One variant: the pattern with element Elem's bytes replaced
+  /// (Elem == NoElem: the pattern itself), and its operand shape.
+  struct Variant {
+    uint32_t Elem;
+    uint32_t Off, Len; ///< Replacement element bytes in Bytes.
+    OperandShape Shape;
+  };
+  static constexpr uint32_t NoElem = ~0u;
+
+  std::vector<uint8_t> Bytes;    ///< Pattern elements, then replacements.
+  std::vector<uint32_t> ElemEnd; ///< End of each pattern element.
+  uint32_t PatLen = 0;
+  unsigned NumElems = 0;
+  std::vector<Variant> Specs;   ///< One-field specializations, then self.
+  std::vector<Variant> Narrows; ///< Width narrowings of immediates.
+
+  /// Writes variant \p V's elements at \p Out; returns their end.
+  uint8_t *put(const Variant &V, uint8_t *Out) const {
+    const uint8_t *B = Bytes.data();
+    if (V.Elem == NoElem) {
+      std::memcpy(Out, B, PatLen);
+      return Out + PatLen;
+    }
+    uint32_t Lo = V.Elem ? ElemEnd[V.Elem - 1] : 0, Hi = ElemEnd[V.Elem];
+    std::memcpy(Out, B, Lo);
+    std::memcpy(Out + Lo, B + V.Off, V.Len);
+    Out += Lo + V.Len;
+    std::memcpy(Out, B + Hi, PatLen - Hi);
+    return Out + (PatLen - Hi);
+  }
+  /// Bytes of the longest variant.
+  size_t maxLen() const { return PatLen + MaxElemBytes; }
 };
 
 class Compressor {
@@ -70,21 +257,20 @@ private:
   void rewriteEpilogues(FuncState &FS);
   void buildSlots(FuncState &FS);
   unsigned runPass();
-  void generateFromSlot(FuncState &FS, size_t SlotIdx);
-  void addCandidate(Pattern P, int64_t Save);
-  void adopt(const Pattern &P);
+  void rescore(FuncState &FS);
+  void scoreSlot(const FuncState &FS, size_t SlotIdx,
+                 std::vector<Contribution> &Out);
+  void addCandidate(size_t KeyLen, int64_t Save, unsigned Native,
+                    std::vector<Contribution> &Out);
+  void adopt(uint32_t CandId);
   void rewriteCombination(uint32_t PatId);
   void rewriteSpecializations(const std::vector<uint32_t> &NewIds);
   void compactDictionary();
   void emit(BriscProgram &Out);
 
   unsigned slotBytes(const Slot &S) const {
-    return Pats[S.PatId].instanceBytes();
+    return instanceBytes(Info[S.PatId].Shape);
   }
-
-  /// One-field value specializations of \p P rooted at the concrete
-  /// sequence \p Seq (for combination pair generation).
-  std::vector<Pattern> oneFieldSpecs(const Pattern &P, const Instr *Seq);
 
   const vm::VMProgram &Prog;
   const CompressOptions &Opts;
@@ -92,11 +278,18 @@ private:
 
   std::vector<FuncState> Funcs;
   std::vector<Pattern> Pats;
-  std::unordered_map<std::string, uint32_t> PatIds;
-  std::unordered_set<std::string> EverTested;
+  std::vector<PatInfo> Info; ///< Parallel to Pats.
+  CandidateTable Cands;
   unsigned EffectiveK = 20;
 
-  std::unordered_map<std::string, Candidate> Cands;
+  // Scratch reused across slots and passes.
+  SlotForms FormA, FormB;
+  std::vector<uint8_t> KeyBuf;
+  std::vector<uint32_t> Match;
+  std::vector<uint8_t> Reuse;
+  std::vector<Contribution> NewContribs;
+  std::vector<uint32_t> NewContribEnd;
+  std::vector<std::vector<uint32_t>> NewByOp;
 };
 
 //===----------------------------------------------------------------------===//
@@ -104,12 +297,13 @@ private:
 //===----------------------------------------------------------------------===//
 
 void Compressor::initState() {
-  // Base dictionary: one fully general pattern per opcode.
-  for (unsigned I = 0; I != static_cast<unsigned>(VMOp::NumOps); ++I) {
-    Pattern P = Pattern::base(static_cast<VMOp>(I));
-    PatIds[P.key()] = static_cast<uint32_t>(Pats.size());
-    Pats.push_back(std::move(P));
-  }
+  // Base dictionary: one fully general pattern per opcode. No candidate
+  // can equal one (specializations set a mask bit, narrowings shrink an
+  // immediate below its base B4, combinations have two or more elements),
+  // so base patterns need no candidate-table entries.
+  const BaseDictionary &Base = baseDictionary();
+  Pats = Base.Pats;
+  Info = Base.Info;
 
   for (const vm::VMFunction &F : Prog.Functions) {
     FuncState FS;
@@ -197,150 +391,230 @@ void Compressor::buildSlots(FuncState &FS) {
 // Candidate generation
 //===----------------------------------------------------------------------===//
 
-std::vector<Pattern> Compressor::oneFieldSpecs(const Pattern &P,
-                                               const Instr *Seq) {
-  std::vector<Pattern> Out;
-  for (size_t E = 0; E != P.Elems.size(); ++E) {
+/// Serializes \p P (with info \p PI, at concrete instructions \p Seq)
+/// and its one-field variants into \p F; narrowings only if \p Narrow.
+void buildForms(const Pattern &P, const PatInfo &PI, const Instr *Seq,
+                bool Narrow, SlotForms &F) {
+  using Variant = SlotForms::Variant;
+  F.Bytes.clear();
+  F.ElemEnd.clear();
+  F.Specs.clear();
+  F.Narrows.clear();
+  F.NumElems = static_cast<unsigned>(P.Elems.size());
+  uint8_t Buf[MaxElemBytes];
+  for (const SpecInstr &El : P.Elems) {
+    F.Bytes.insert(F.Bytes.end(), Buf, serializeElem(El, Buf));
+    F.ElemEnd.push_back(static_cast<uint32_t>(F.Bytes.size()));
+  }
+  F.PatLen = static_cast<uint32_t>(F.Bytes.size());
+
+  auto AddVariant = [&](std::vector<Variant> &To, uint32_t E,
+                        const SpecInstr &Repl, const OperandShape &Shape) {
+    uint32_t Off = static_cast<uint32_t>(F.Bytes.size());
+    F.Bytes.insert(F.Bytes.end(), Buf, serializeElem(Repl, Buf));
+    To.push_back(
+        {E, Off, static_cast<uint32_t>(F.Bytes.size()) - Off, Shape});
+  };
+
+  for (uint32_t E = 0; E != F.NumElems; ++E) {
     const SpecInstr &El = P.Elems[E];
     unsigned NF = vm::numFields(El.Op);
     const FieldKind *FK = vm::fieldKinds(El.Op);
-    for (unsigned F = 0; F != NF; ++F) {
-      if (El.specialized(F))
-        continue;
-      if (FK[F] == FieldKind::Label)
+    for (unsigned F2 = 0; F2 != NF; ++F2) {
+      if (El.specialized(F2) || FK[F2] == FieldKind::Label)
         continue; // Branch targets are never burned in.
-      Pattern Q = P;
-      SpecInstr &QE = Q.Elems[E];
-      QE.SpecMask |= 1u << F;
-      QE.SpecVals[F] = static_cast<int32_t>(vm::getField(Seq[E], F));
-      Out.push_back(std::move(Q));
+      // One-field value specialization.
+      SpecInstr Q = El;
+      Q.SpecMask |= 1u << F2;
+      Q.SpecVals[F2] = static_cast<int32_t>(vm::getField(Seq[E], F2));
+      OperandShape Rest = PI.Shape;
+      Rest.remove(El.Widths[F2]);
+      AddVariant(F.Specs, E, Q, Rest);
+
+      if (!Narrow || FK[F2] != FieldKind::Imm)
+        continue;
+      // Width narrowings of the immediate.
+      int64_t V = vm::getField(Seq[E], F2);
+      static const Width Narrower[] = {Width::B2, Width::B1X4, Width::B1,
+                                       Width::NibX4, Width::Nib};
+      for (Width W : Narrower) {
+        if (widthNibbles(W) >= widthNibbles(El.Widths[F2]))
+          continue;
+        if (!fitsWidth(W, V))
+          continue;
+        Q = El;
+        Q.Widths[F2] = W;
+        OperandShape Narrowed = Rest;
+        Narrowed.add(W);
+        AddVariant(F.Narrows, E, Q, Narrowed);
+      }
     }
   }
-  return Out;
+  F.Specs.push_back({SlotForms::NoElem, 0, 0, PI.Shape});
 }
 
-void Compressor::addCandidate(Pattern P, int64_t Save) {
-  if (Save <= 0)
-    return;
-  std::string Key = P.key();
-  if (PatIds.count(Key))
+void Compressor::addCandidate(size_t KeyLen, int64_t Save, unsigned Native,
+                              std::vector<Contribution> &Out) {
+  // An adopted pattern also grows the Markov successor tables by at
+  // least one entry; 3 bytes approximates the serialized id.
+  unsigned Cost = static_cast<unsigned>(KeyLen) + 3;
+  if (!Opts.AbundantMemory)
+    Cost += workingSetCost(Native);
+  bool Inserted;
+  uint32_t Id = Cands.intern(KeyBuf.data(), KeyLen, Cost, Inserted);
+  CandidateTable::Entry &E = Cands[Id];
+  if (E.InDict)
     return; // Already in the dictionary.
-  auto It = Cands.find(Key);
-  if (It == Cands.end()) {
-    Candidate C;
-    C.P = std::move(P);
-    C.GrossSave = Save;
-    C.Uses = 1;
-    bool New = EverTested.insert(Key).second;
-    if (New && Stats)
-      ++Stats->CandidatesTested;
-    Cands.emplace(std::move(Key), std::move(C));
-    return;
-  }
-  It->second.GrossSave += Save;
-  ++It->second.Uses;
+  if (Inserted && Stats)
+    ++Stats->CandidatesTested;
+  E.GrossSave += Save;
+  Out.push_back({Id, static_cast<uint32_t>(Save)});
 }
 
-void Compressor::generateFromSlot(FuncState &FS, size_t SlotIdx) {
-  Slot &S = FS.Slots[SlotIdx];
+void Compressor::scoreSlot(const FuncState &FS, size_t SlotIdx,
+                           std::vector<Contribution> &Out) {
+  const Slot &S = FS.Slots[SlotIdx];
   const Pattern &P = Pats[S.PatId];
+  const PatInfo &PI = Info[S.PatId];
   const Instr *Seq = FS.Concrete.data() + S.Begin;
-  unsigned Cur = P.instanceBytes();
+  unsigned Cur = instanceBytes(PI.Shape);
+
+  const Slot *T = nullptr;
+  if (Opts.EnableCombination && SlotIdx + 1 < FS.Slots.size()) {
+    T = &FS.Slots[SlotIdx + 1];
+    if (FS.BBStart[T->Begin] || // Never swallow a block boundary.
+        !PI.AllData ||          // Control flow may only end a pattern.
+        P.Elems.size() + Pats[T->PatId].Elems.size() > Opts.MaxCombinedElems)
+      T = nullptr;
+  }
+  if (!Opts.EnableSpecialization && !T)
+    return;
+
+  buildForms(P, PI, Seq, Opts.EnableSpecialization, FormA);
+  size_t Need = MaxVarBytes + FormA.maxLen();
+  if (T) {
+    buildForms(Pats[T->PatId], Info[T->PatId],
+               FS.Concrete.data() + T->Begin, /*Narrow=*/false, FormB);
+    Need += FormB.maxLen();
+  }
+  if (KeyBuf.size() < Need)
+    KeyBuf.resize(Need);
+  uint8_t *Key = KeyBuf.data();
 
   if (Opts.EnableSpecialization) {
-    // One-field value specializations.
-    for (size_t E = 0; E != P.Elems.size(); ++E) {
-      const SpecInstr &El = P.Elems[E];
-      unsigned NF = vm::numFields(El.Op);
-      const FieldKind *FK = vm::fieldKinds(El.Op);
-      for (unsigned F = 0; F != NF; ++F) {
-        if (El.specialized(F) || FK[F] == FieldKind::Label)
+    uint8_t *Elems = ByteWriter::putVarU(Key, FormA.NumElems);
+    for (const std::vector<SlotForms::Variant> *L :
+         {&FormA.Specs, &FormA.Narrows})
+      for (const SlotForms::Variant &V : *L) {
+        if (V.Elem == SlotForms::NoElem)
+          continue; // The slot's own pattern.
+        int64_t Save = static_cast<int64_t>(Cur) - instanceBytes(V.Shape);
+        if (Save <= 0)
           continue;
-        Pattern Q = P;
-        SpecInstr &QE = Q.Elems[E];
-        QE.SpecMask |= 1u << F;
-        QE.SpecVals[F] = static_cast<int32_t>(vm::getField(Seq[E], F));
-        unsigned NewBytes = Q.instanceBytes();
-        addCandidate(std::move(Q), static_cast<int64_t>(Cur) - NewBytes);
+        addCandidate(static_cast<size_t>(FormA.put(V, Elems) - Key), Save,
+                     PI.Native, Out);
       }
-    }
-    // Width narrowings of immediate fields.
-    for (size_t E = 0; E != P.Elems.size(); ++E) {
-      const SpecInstr &El = P.Elems[E];
-      unsigned NF = vm::numFields(El.Op);
-      const FieldKind *FK = vm::fieldKinds(El.Op);
-      for (unsigned F = 0; F != NF; ++F) {
-        if (El.specialized(F) || FK[F] != FieldKind::Imm)
-          continue;
-        int64_t V = vm::getField(Seq[E], F);
-        static const Width Narrower[] = {Width::B2, Width::B1X4,
-                                         Width::B1, Width::NibX4,
-                                         Width::Nib};
-        for (Width W : Narrower) {
-          if (widthNibbles(W) >= widthNibbles(El.Widths[F]))
-            continue;
-          if (!fitsWidth(W, V))
-            continue;
-          Pattern Q = P;
-          Q.Elems[E].Widths[F] = W;
-          unsigned NewBytes = Q.instanceBytes();
-          addCandidate(std::move(Q), static_cast<int64_t>(Cur) - NewBytes);
-        }
-      }
-    }
   }
 
-  if (!Opts.EnableCombination || SlotIdx + 1 >= FS.Slots.size())
+  if (!T)
     return;
-  const Pattern &PA = P;
-  Slot &T = FS.Slots[SlotIdx + 1];
-  if (FS.BBStart[T.Begin])
-    return; // Never swallow a block boundary.
-  if (!PA.allDataOps())
-    return; // Control flow may only end a pattern.
-  const Pattern &PB = Pats[T.PatId];
-  if (PA.Elems.size() + PB.Elems.size() > Opts.MaxCombinedElems)
-    return;
-  const Instr *SeqB = FS.Concrete.data() + T.Begin;
-  unsigned CurPair = Cur + PB.instanceBytes();
-
-  std::vector<Pattern> As = oneFieldSpecs(PA, Seq);
-  As.push_back(PA);
-  std::vector<Pattern> Bs = oneFieldSpecs(PB, SeqB);
-  Bs.push_back(PB);
-  for (const Pattern &A : As) {
-    for (const Pattern &B : Bs) {
-      Pattern Q;
-      Q.Elems = A.Elems;
-      Q.Elems.insert(Q.Elems.end(), B.Elems.begin(), B.Elems.end());
-      unsigned NewBytes = Q.instanceBytes();
-      addCandidate(std::move(Q),
-                   static_cast<int64_t>(CurPair) - NewBytes);
+  const PatInfo &PB = Info[T->PatId];
+  unsigned CurPair = Cur + instanceBytes(PB.Shape);
+  unsigned Native = PI.Native + PB.Native;
+  uint8_t *Elems =
+      ByteWriter::putVarU(Key, FormA.NumElems + FormB.NumElems);
+  for (const SlotForms::Variant &A : FormA.Specs) {
+    uint8_t *Mid = FormA.put(A, Elems);
+    for (const SlotForms::Variant &B : FormB.Specs) {
+      int64_t Save =
+          static_cast<int64_t>(CurPair) - instanceBytes(A.Shape + B.Shape);
+      if (Save <= 0)
+        continue;
+      addCandidate(static_cast<size_t>(FormB.put(B, Mid) - Key), Save,
+                   Native, Out);
     }
   }
+}
+
+void Compressor::rescore(FuncState &FS) {
+  // Rewrites only merge slots, so every current slot starts where a
+  // scored one did. A slot's candidates depend on its own pattern and its
+  // successor's; when neither changed, its scored contributions stand.
+  const std::vector<Slot> &Old = FS.Scored;
+  const std::vector<Slot> &New = FS.Slots;
+  const uint32_t None = ~0u;
+  Match.assign(New.size(), None);
+  for (size_t I = 0, J = 0; I != New.size(); ++I) {
+    while (J != Old.size() && Old[J].Begin < New[I].Begin)
+      ++J;
+    if (J != Old.size() && Old[J].Begin == New[I].Begin &&
+        Old[J].PatId == New[I].PatId)
+      Match[I] = static_cast<uint32_t>(J);
+  }
+  Reuse.assign(Old.size(), 0);
+  for (size_t I = 0; I != New.size(); ++I) {
+    if (Match[I] != None && (I + 1 == New.size() || Match[I + 1] != None))
+      Reuse[Match[I]] = 1;
+    else
+      Match[I] = None;
+  }
+
+  // Withdraw what every other scored slot contributed.
+  for (size_t J = 0; J != Old.size(); ++J) {
+    if (Reuse[J])
+      continue;
+    for (uint32_t C = J ? FS.ContribEnd[J - 1] : 0; C != FS.ContribEnd[J];
+         ++C)
+      Cands[FS.Contribs[C].Cand].GrossSave -= FS.Contribs[C].Save;
+  }
+
+  NewContribs.clear();
+  NewContribEnd.clear();
+  for (size_t I = 0; I != New.size(); ++I) {
+    if (uint32_t J = Match[I]; J != None)
+      NewContribs.insert(NewContribs.end(),
+                         FS.Contribs.begin() + (J ? FS.ContribEnd[J - 1] : 0),
+                         FS.Contribs.begin() + FS.ContribEnd[J]);
+    else
+      scoreSlot(FS, I, NewContribs);
+    NewContribEnd.push_back(static_cast<uint32_t>(NewContribs.size()));
+  }
+  FS.Contribs.swap(NewContribs);
+  FS.ContribEnd.swap(NewContribEnd);
+  FS.Scored = FS.Slots;
+  FS.Changed = false;
 }
 
 //===----------------------------------------------------------------------===//
 // Adoption and rewriting
 //===----------------------------------------------------------------------===//
 
-void Compressor::adopt(const Pattern &P) {
-  PatIds[P.key()] = static_cast<uint32_t>(Pats.size());
-  Pats.push_back(P);
+void Compressor::adopt(uint32_t CandId) {
+  Cands[CandId].InDict = true;
+  ByteReader R(Cands.key(CandId));
+  Pats.push_back(Pattern::deserialize(R));
+  Info.push_back(infoOf(Pats.back()));
 }
 
 void Compressor::rewriteCombination(uint32_t PatId) {
   const Pattern &P = Pats[PatId];
+  const unsigned PatBytes = instanceBytes(Info[PatId].Shape);
   size_t Len = P.Elems.size();
   for (FuncState &FS : Funcs) {
-    std::vector<Slot> NewSlots;
-    NewSlots.reserve(FS.Slots.size());
-    size_t I = 0;
-    while (I < FS.Slots.size()) {
-      const Slot &S = FS.Slots[I];
+    // Opcodes first: a cheap filter in front of matches().
+    auto OpsMatch = [&](uint32_t Begin) {
+      for (size_t K = 0; K != Len; ++K)
+        if (FS.Concrete[Begin + K].Op != P.Elems[K].Op)
+          return false;
+      return true;
+    };
+    // Compacts in place: Out never passes I.
+    std::vector<Slot> &Slots = FS.Slots;
+    size_t Out = 0, I = 0;
+    while (I < Slots.size()) {
+      const Slot S = Slots[I];
       // Try to cover slots I..J whose concrete run matches P exactly.
-      bool Merged = false;
-      if (S.Begin + Len <= FS.Concrete.size() &&
+      if (S.Begin + Len <= FS.Concrete.size() && OpsMatch(S.Begin) &&
           P.matches(FS.Concrete.data() + S.Begin, Len)) {
         // The run must align with slot boundaries and stay inside the
         // basic block.
@@ -348,115 +622,101 @@ void Compressor::rewriteCombination(uint32_t PatId) {
         uint32_t Covered = 0;
         unsigned CurBytes = 0;
         bool Aligns = true;
-        while (Covered < Len && J < FS.Slots.size()) {
-          if (J != I && FS.BBStart[FS.Slots[J].Begin]) {
+        while (Covered < Len && J < Slots.size()) {
+          if (J != I && FS.BBStart[Slots[J].Begin]) {
             Aligns = false;
             break;
           }
-          Covered += FS.Slots[J].Count;
-          CurBytes += slotBytes(FS.Slots[J]);
+          Covered += Slots[J].Count;
+          CurBytes += slotBytes(Slots[J]);
           ++J;
         }
-        if (Aligns && Covered == Len &&
-            P.instanceBytes() < CurBytes) {
-          Slot NS;
-          NS.PatId = PatId;
-          NS.Begin = S.Begin;
-          NS.Count = static_cast<uint32_t>(Len);
-          NewSlots.push_back(NS);
+        if (Aligns && Covered == Len && PatBytes < CurBytes) {
+          Slots[Out++] = Slot{PatId, S.Begin, static_cast<uint32_t>(Len)};
           I = J;
-          Merged = true;
+          FS.Changed = true;
+          continue;
         }
       }
-      if (!Merged) {
-        NewSlots.push_back(S);
-        ++I;
-      }
+      Slots[Out++] = S;
+      ++I;
     }
-    FS.Slots = std::move(NewSlots);
+    Slots.resize(Out);
   }
 }
 
 void Compressor::rewriteSpecializations(const std::vector<uint32_t> &NewIds) {
-  // Index the new patterns by (first opcode, element count).
-  std::map<std::pair<uint8_t, size_t>, std::vector<uint32_t>> Index;
-  for (uint32_t Id : NewIds) {
-    const Pattern &P = Pats[Id];
-    Index[{static_cast<uint8_t>(P.Elems[0].Op), P.Elems.size()}]
-        .push_back(Id);
-  }
+  // Index the new patterns by first opcode, in adoption order.
+  NewByOp.resize(static_cast<size_t>(VMOp::NumOps));
+  for (std::vector<uint32_t> &L : NewByOp)
+    L.clear();
+  for (uint32_t Id : NewIds)
+    NewByOp[static_cast<size_t>(Pats[Id].Elems[0].Op)].push_back(Id);
   for (FuncState &FS : Funcs) {
     for (Slot &S : FS.Slots) {
-      auto It = Index.find({static_cast<uint8_t>(
-                                FS.Concrete[S.Begin].Op),
-                            S.Count});
-      if (It == Index.end())
+      const std::vector<uint32_t> &L =
+          NewByOp[static_cast<size_t>(FS.Concrete[S.Begin].Op)];
+      if (L.empty())
         continue;
       unsigned Best = slotBytes(S);
       uint32_t BestId = S.PatId;
-      for (uint32_t Id : It->second) {
+      for (uint32_t Id : L) {
         const Pattern &P = Pats[Id];
-        if (P.instanceBytes() >= Best)
+        unsigned Bytes = instanceBytes(Info[Id].Shape);
+        if (P.Elems.size() != S.Count || Bytes >= Best)
           continue;
         if (!P.matches(FS.Concrete.data() + S.Begin, S.Count))
           continue;
-        Best = P.instanceBytes();
+        Best = Bytes;
         BestId = Id;
       }
-      S.PatId = BestId;
+      if (BestId != S.PatId) {
+        S.PatId = BestId;
+        FS.Changed = true;
+      }
     }
   }
 }
 
 unsigned Compressor::runPass() {
-  Cands.clear();
   for (FuncState &FS : Funcs)
-    for (size_t I = 0; I != FS.Slots.size(); ++I)
-      generateFromSlot(FS, I);
+    if (FS.Changed)
+      rescore(FS);
 
-  // Rank by benefit.
+  // Rank by benefit B = P - W, ties broken by serialized key.
   struct Ranked {
     int64_t B;
-    const Candidate *C;
+    uint32_t Id;
   };
   std::vector<Ranked> Ranking;
-  Ranking.reserve(Cands.size());
-  for (const auto &[Key, C] : Cands) {
-    (void)Key;
-    // An adopted pattern also grows the Markov successor tables by at
-    // least one entry; 3 bytes approximates the serialized id.
-    int64_t P = C.GrossSave - C.P.dictEntryBytes() - 3;
-    int64_t B = Opts.AbundantMemory
-                    ? P
-                    : P - static_cast<int64_t>(workingSetCost(C.P));
-    if (B > 0)
-      Ranking.push_back({B, &C});
+  for (uint32_t Id = 0; Id != Cands.size(); ++Id) {
+    const CandidateTable::Entry &E = Cands[Id];
+    int64_t B = E.GrossSave - static_cast<int64_t>(E.Cost);
+    if (!E.InDict && B > 0)
+      Ranking.push_back({B, Id});
   }
-  std::sort(Ranking.begin(), Ranking.end(),
-            [](const Ranked &A, const Ranked &B) {
-              if (A.B != B.B)
-                return A.B > B.B;
-              return A.C->P.key() < B.C->P.key(); // Deterministic ties.
-            });
+  size_t Take = std::min<size_t>(EffectiveK, Ranking.size());
+  std::partial_sort(Ranking.begin(), Ranking.begin() + Take, Ranking.end(),
+                    [this](const Ranked &A, const Ranked &B) {
+                      if (A.B != B.B)
+                        return A.B > B.B;
+                      return Cands.keyLess(A.Id, B.Id);
+                    });
 
-  unsigned Adopted = 0;
   std::vector<uint32_t> NewCombined, NewIds;
-  for (const Ranked &R : Ranking) {
-    if (Adopted == EffectiveK)
-      break;
+  for (size_t R = 0; R != Take; ++R) {
     uint32_t Id = static_cast<uint32_t>(Pats.size());
-    adopt(R.C->P);
+    adopt(Ranking[R].Id);
     NewIds.push_back(Id);
-    if (R.C->P.Elems.size() > 1)
+    if (Pats[Id].Elems.size() > 1)
       NewCombined.push_back(Id);
-    ++Adopted;
   }
 
   // Combination first (paper's order), then specialization rewrites.
   for (uint32_t Id : NewCombined)
     rewriteCombination(Id);
   rewriteSpecializations(NewIds);
-  return Adopted;
+  return static_cast<unsigned>(Take);
 }
 
 void Compressor::compactDictionary() {
@@ -617,9 +877,10 @@ BriscProgram Compressor::run() {
   if (Opts.AutoK)
     EffectiveK = std::max<unsigned>(
         Opts.K, static_cast<unsigned>(TotalInstrs / 1500));
-  unsigned Pass = 0;
-  for (; Pass != Opts.MaxPasses; ++Pass) {
+  unsigned Passes = 0;
+  while (Passes != Opts.MaxPasses) {
     unsigned Adopted = runPass();
+    ++Passes;
     if (Adopted < EffectiveK)
       break;
   }
@@ -627,7 +888,7 @@ BriscProgram Compressor::run() {
   BriscProgram Out;
   emit(Out);
   if (Stats) {
-    Stats->Passes = Pass + 1;
+    Stats->Passes = Passes;
     Stats->DictPatterns = Pats.size();
     std::vector<uint8_t> Image = Out.serialize(/*IncludeData=*/false);
     Stats->TotalBytes = Image.size();

@@ -88,11 +88,3 @@ unsigned brisc::nativeSeqBytes(const Pattern &P, Target T) {
     Bytes += opBytes(E.Op, T);
   return Bytes;
 }
-
-unsigned brisc::workingSetCost(const Pattern &P) {
-  unsigned A = nativeSeqBytes(P, Target::CISC);
-  unsigned B = nativeSeqBytes(P, Target::RISC);
-  // Average of the two targets plus the fixed table-entry header
-  // (pointer + length in the decompressor's dispatch table).
-  return (A + B) / 2 + 6;
-}

@@ -31,8 +31,15 @@ enum class Target : uint8_t {
 /// pattern on \p T (burned-in operands are part of the sequence).
 unsigned nativeSeqBytes(const Pattern &P, Target T);
 
-/// The averaged W (plus the fixed per-entry table header).
-unsigned workingSetCost(const Pattern &P);
+/// The averaged W (plus the fixed per-entry table header) of a pattern
+/// whose native sequences total \p BothTargetsBytes:
+/// nativeSeqBytes(P, CISC) + nativeSeqBytes(P, RISC). The total adds up
+/// over elements, so a combination's W follows from its parts' totals.
+inline unsigned workingSetCost(unsigned BothTargetsBytes) {
+  // Average of the two targets plus the fixed table-entry header
+  // (pointer + length in the decompressor's dispatch table).
+  return BothTargetsBytes / 2 + 6;
+}
 
 } // namespace brisc
 } // namespace ccomp

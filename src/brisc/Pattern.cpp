@@ -112,64 +112,47 @@ bool Pattern::matches(const Instr *Seq, size_t N) const {
   return true;
 }
 
-unsigned Pattern::operandBytes() const {
-  // Nibble-width fields are packed together first (two per byte), then
-  // byte-width fields follow; this is how the paper fits "sp and 24 into
-  // a single operand byte".
-  unsigned Nibbles = 0, Bytes = 0;
+OperandShape Pattern::operandShape() const {
+  OperandShape S;
   for (const SpecInstr &E : Elems) {
     unsigned NF = vm::numFields(E.Op);
-    for (unsigned F = 0; F != NF; ++F) {
-      if (E.specialized(F))
-        continue;
-      unsigned N = widthNibbles(E.Widths[F]);
-      if (N == 1)
-        ++Nibbles;
-      else
-        Bytes += N / 2;
-    }
+    for (unsigned F = 0; F != NF; ++F)
+      if (!E.specialized(F))
+        S.add(E.Widths[F]);
   }
-  return (Nibbles + 1) / 2 + Bytes;
+  return S;
 }
 
-unsigned Pattern::dictEntryBytes() const {
-  ByteWriter W;
-  serialize(W);
-  return static_cast<unsigned>(W.size());
-}
-
-std::string Pattern::key() const {
-  ByteWriter W;
-  serialize(W);
-  const std::vector<uint8_t> &B = W.bytes();
-  return std::string(B.begin(), B.end());
+uint8_t *brisc::serializeElem(const SpecInstr &E, uint8_t *Out) {
+  *Out++ = static_cast<uint8_t>(E.Op);
+  *Out++ = E.SpecMask;
+  unsigned NF = vm::numFields(E.Op);
+  // Width codes pack two per byte (3 bits each suffices; use 4).
+  uint8_t WPacked = 0;
+  unsigned WCount = 0;
+  for (unsigned F = 0; F != NF; ++F) {
+    if (E.specialized(F))
+      continue;
+    WPacked |= static_cast<uint8_t>(E.Widths[F]) << (4 * (WCount & 1));
+    if (WCount & 1) {
+      *Out++ = WPacked;
+      WPacked = 0;
+    }
+    ++WCount;
+  }
+  if (WCount & 1)
+    *Out++ = WPacked;
+  for (unsigned F = 0; F != NF; ++F)
+    if (E.specialized(F))
+      Out = ByteWriter::putVarU(Out, ByteWriter::zigZag(E.SpecVals[F]));
+  return Out;
 }
 
 void Pattern::serialize(ByteWriter &W) const {
   W.writeVarU(Elems.size());
-  for (const SpecInstr &E : Elems) {
-    W.writeU8(static_cast<uint8_t>(E.Op));
-    W.writeU8(E.SpecMask);
-    unsigned NF = vm::numFields(E.Op);
-    // Width codes pack two per byte (3 bits each suffices; use 4).
-    uint8_t WPacked = 0;
-    unsigned WCount = 0;
-    for (unsigned F = 0; F != NF; ++F) {
-      if (E.specialized(F))
-        continue;
-      WPacked |= static_cast<uint8_t>(E.Widths[F]) << (4 * (WCount & 1));
-      if (WCount & 1) {
-        W.writeU8(WPacked);
-        WPacked = 0;
-      }
-      ++WCount;
-    }
-    if (WCount & 1)
-      W.writeU8(WPacked);
-    for (unsigned F = 0; F != NF; ++F)
-      if (E.specialized(F))
-        W.writeVarS(E.SpecVals[F]);
-  }
+  uint8_t Buf[MaxElemBytes];
+  for (const SpecInstr &E : Elems)
+    W.writeBytes(Buf, static_cast<size_t>(serializeElem(E, Buf) - Buf));
 }
 
 Pattern Pattern::deserialize(ByteReader &R) {

@@ -55,6 +55,43 @@ struct SpecInstr {
   bool specialized(unsigned F) const { return (SpecMask >> F) & 1; }
 };
 
+/// The packed operand footprint of a set of unspecified fields:
+/// nibble-width fields pack two per byte, then byte-width fields follow
+/// (how the paper fits "sp and 24 into a single operand byte").
+struct OperandShape {
+  unsigned Nibbles = 0;
+  unsigned Bytes = 0; ///< Of the byte-width fields.
+
+  void add(Width W) {
+    unsigned N = widthNibbles(W);
+    if (N == 1)
+      ++Nibbles;
+    else
+      Bytes += N / 2;
+  }
+  void remove(Width W) {
+    unsigned N = widthNibbles(W);
+    if (N == 1)
+      --Nibbles;
+    else
+      Bytes -= N / 2;
+  }
+  OperandShape operator+(const OperandShape &O) const {
+    return {Nibbles + O.Nibbles, Bytes + O.Bytes};
+  }
+  unsigned bytes() const { return (Nibbles + 1) / 2 + Bytes; }
+};
+
+/// Upper bound on serializeElem's output: opcode, mask, two packed width
+/// bytes, and a zig-zag varint of at most 5 bytes per burned-in field.
+constexpr size_t MaxElemBytes = 4 + 5 * vm::MaxFields;
+
+/// Writes the serialized form of one pattern element (the per-element
+/// part of Pattern::serialize) to \p Out; returns the end of the bytes.
+/// Widths of specialized fields and values of unspecialized ones are not
+/// part of the form.
+uint8_t *serializeElem(const SpecInstr &E, uint8_t *Out);
+
 /// A dictionary pattern.
 struct Pattern {
   std::vector<SpecInstr> Elems;
@@ -70,17 +107,14 @@ struct Pattern {
   /// Matches a concrete instruction sequence starting at \p Seq.
   bool matches(const vm::Instr *Seq, size_t N) const;
 
+  /// Operand footprint of any matching instance.
+  OperandShape operandShape() const;
+
   /// Packed operand byte count for any matching instance.
-  unsigned operandBytes() const;
+  unsigned operandBytes() const { return operandShape().bytes(); }
 
   /// Total encoded size of one instance (1 opcode byte + operands).
   unsigned instanceBytes() const { return 1 + operandBytes(); }
-
-  /// Serialized dictionary-entry size in bytes.
-  unsigned dictEntryBytes() const;
-
-  /// Canonical byte key for hashing/deduplication.
-  std::string key() const;
 
   void serialize(ByteWriter &W) const;
   /// Throws DecodeError on a corrupt dictionary entry.

@@ -61,9 +61,21 @@ public:
   }
 
   /// Signed LEB128 via zig-zag.
-  void writeVarS(int64_t V) {
-    writeVarU((static_cast<uint64_t>(V) << 1) ^
-              static_cast<uint64_t>(V >> 63));
+  void writeVarS(int64_t V) { writeVarU(zigZag(V)); }
+
+  static uint64_t zigZag(int64_t V) {
+    return (static_cast<uint64_t>(V) << 1) ^ static_cast<uint64_t>(V >> 63);
+  }
+
+  /// Encodes \p V as writeVarU would into raw memory at \p Out (at most
+  /// 10 bytes); returns the end of the encoding.
+  static uint8_t *putVarU(uint8_t *Out, uint64_t V) {
+    while (V >= 0x80) {
+      *Out++ = static_cast<uint8_t>(V) | 0x80;
+      V >>= 7;
+    }
+    *Out++ = static_cast<uint8_t>(V);
+    return Out;
   }
 
   /// Length-prefixed string.
