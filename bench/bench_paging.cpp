@@ -148,16 +148,17 @@ int main(int Argc, char **Argv) {
          {4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u, 1024u}) {
       sim::PagingResult PN = sim::simulateLRU(NR.PageTrace, Resident);
       sim::PagingResult PB = sim::simulateLRU(BR.PageTrace, Resident);
-      sim::TotalTime TN = sim::totalTime(NativeCpu, PN, Disk);
-      sim::TotalTime TB = sim::totalTime(InterpCpu, PB, Disk);
-      double NWarm = NativeCpu +
-                     double(PN.Faults > NDistinct ? PN.Faults - NDistinct
-                                                  : 0) *
-                         Disk.FaultSeconds;
-      double BWarm = InterpCpu +
-                     double(PB.Faults > BDistinct ? PB.Faults - BDistinct
-                                                  : 0) *
-                         Disk.FaultSeconds;
+      sim::TotalTime TN = sim::totalTime({NativeCpu, PN.Faults}, Disk);
+      sim::TotalTime TB = sim::totalTime({InterpCpu, PB.Faults}, Disk);
+      auto warm = [](uint64_t Faults, uint64_t Distinct) -> uint64_t {
+        return Faults > Distinct ? Faults - Distinct : 0;
+      };
+      double NWarm =
+          sim::totalTime({NativeCpu, warm(PN.Faults, NDistinct)}, Disk)
+              .total();
+      double BWarm =
+          sim::totalTime({InterpCpu, warm(PB.Faults, BDistinct)}, Disk)
+              .total();
       std::printf("%8u | %10.3f %10.3f | %10.3f %10.3f | %10s %10s\n",
                   Resident, TN.total(), TB.total(), NWarm, BWarm,
                   TB.total() < TN.total() ? "compressed" : "native",
@@ -233,8 +234,8 @@ int main(int Argc, char **Argv) {
       if (!R.Ok || R.Output != Eager.Output || R.ExitCode != Eager.ExitCode)
         reportFatal("store-backed run diverged: " + R.Trap);
       store::StoreStats St = S->stats();
-      sim::TotalTime T =
-          sim::storeTotalTime(Cpu, St.Misses, St.DecodeNanos, Disk);
+      // Cpu already contains every decode: runFromStore decodes inline.
+      sim::TotalTime T = sim::totalTime({Cpu, St.Misses}, Disk);
       std::printf("%8u %12zu | %10llu %10llu | %9.1f%% %10.2f %12.3f\n",
                   Resident, SO.CacheBudgetBytes,
                   (unsigned long long)SimFaults, (unsigned long long)St.Misses,
@@ -289,9 +290,10 @@ int main(int Argc, char **Argv) {
       if (!R.Ok || R.Output != Eager.Output || R.ExitCode != Eager.ExitCode)
         reportFatal("paged store run diverged: " + R.Trap);
       store::StoreStats St = S->stats();
-      sim::TotalTime T = sim::pagedStoreTotalTime(Cpu, St.Misses,
-                                                  St.FetchedBytes,
-                                                  St.DecodeNanos, Disk);
+      sim::TotalTime T = sim::totalTime(
+          {.CpuSeconds = Cpu, .Faults = St.Misses,
+           .FetchedBytes = St.FetchedBytes},
+          Disk);
       std::printf("%10zu | %7u %12zu | %10llu %9.1f%% | %10.2f %12.3f\n",
                   Target, S->frameCount(), S->frameBytes(),
                   (unsigned long long)St.Misses, St.hitRate() * 100,
@@ -446,10 +448,15 @@ int main(int Argc, char **Argv) {
     store::TierStats TS = Rv.tierStats();
     double Speedup = InterpS / TieredS;
     store::StoreStats St = STier->stats();
-    sim::JitModel Jit;
-    sim::TotalTime T = sim::tieredTotalTime(TieredS, St.Misses,
-                                            St.FetchedBytes, St.DecodeNanos,
-                                            TS.CompiledBytesTotal, Disk, Jit);
+    // The timed runs are warm, so their decodes happened before the
+    // timer and are added back here.
+    sim::TotalTime T = sim::totalTime(
+        {.CpuSeconds = TieredS,
+         .Faults = St.Misses,
+         .FetchedBytes = St.FetchedBytes,
+         .DecodeNanos = St.DecodeNanos,
+         .CompiledBytes = TS.CompiledBytesTotal},
+        Disk);
     std::printf("\nTiered execution (wep, chain %s, hot threshold %llu)\n",
                 ChainSpec, (unsigned long long)TO.HotThreshold);
     std::printf("  interpret-only: %.4f s/run, tiered: %.4f s/run "
@@ -550,8 +557,9 @@ int main(int Argc, char **Argv) {
           PrivResident += St.ResidentBytes;
         }
 
-        sim::TotalTime T = sim::sharedStoreTotalTime(Cpu, RS.Decodes,
-                                                     RS.DecodeNanos, Disk);
+        // Registry decodes are the fault bill: each ran once for every
+        // tenant. Cpu already contains them.
+        sim::TotalTime T = sim::totalTime({Cpu, RS.Decodes}, Disk);
         std::printf("%7u %10zu | %10llu %12llu | %10llu %12llu\n", N, Budget,
                     (unsigned long long)RS.Decodes,
                     (unsigned long long)RS.ResidentBytes,

@@ -10,7 +10,8 @@
 // faults compressed function frames in on demand. Transfer time is
 // virtual (sim::Link through a SimulatedRemoteFrameSource), decode time
 // is measured, and the two are reported separately: total time is
-// sim::remoteTotalTime(cpu, decode, fetch).
+// sim::totalTime over the measured CPU (decode included) and the
+// virtual fetch clock.
 //
 // Acts:
 //   1. link x form grid — whole-module wire delivery vs demand-paged
@@ -148,9 +149,9 @@ int main() {
     store::StoreStats St = S->stats();
     double FetchS = double(St.FetchVirtualNanos) / 1e9;
     double DecodeS = double(St.DecodeNanos) / 1e9;
-    sim::TotalTime T =
-        sim::remoteTotalTime(Cpu - DecodeS, St.DecodeNanos,
-                             St.FetchVirtualNanos);
+    // Cpu already contains every decode: runFromStore decodes inline.
+    sim::TotalTime T = sim::totalTime(
+        {.CpuSeconds = Cpu, .FetchVirtualNanos = St.FetchVirtualNanos});
     if (Emit) {
       std::printf("  %-18s %10zu %12.3f %12.4f %12.3f\n", F.Chain,
                   F.Image.size(), FetchS, DecodeS, T.total());

@@ -98,8 +98,8 @@ int main(int argc, char **argv) {
       AllMatch = false;
 
     store::StoreStats St = S->stats();
-    sim::TotalTime T =
-        sim::storeTotalTime(Cpu, St.Misses, St.DecodeNanos, Disk);
+    // Cpu already contains every decode: runFromStore decodes inline.
+    sim::TotalTime T = sim::totalTime({Cpu, St.Misses}, Disk);
     std::printf("%12zu | %8llu %8llu %8llu %8.1f%% %10.2f %12.3f\n", Budget,
                 (unsigned long long)St.Misses, (unsigned long long)St.Hits,
                 (unsigned long long)St.Evictions, St.hitRate() * 100,

@@ -95,8 +95,8 @@ int main(int argc, char **argv) {
       continue;
     sim::PagingResult PN = sim::simulateLRU(NR.PageTrace, R);
     sim::PagingResult PB = sim::simulateLRU(BR.PageTrace, R);
-    double TN = sim::totalTime(NativeCpu, PN, Disk).total();
-    double TB = sim::totalTime(InterpCpu, PB, Disk).total();
+    double TN = sim::totalTime({NativeCpu, PN.Faults}, Disk).total();
+    double TB = sim::totalTime({InterpCpu, PB.Faults}, Disk).total();
     std::printf("%10u %14.3f %14.3f %10s\n", R, TN, TB,
                 TB < TN ? "BRISC" : "native");
   }

@@ -131,8 +131,8 @@ int main(int argc, char **argv) {
       PrivDecodes += St.Decodes;
       PrivResident += St.ResidentBytes;
     }
-    sim::TotalTime T =
-        sim::sharedStoreTotalTime(Cpu, RS.Decodes, RS.DecodeNanos, Disk);
+    // Cpu already contains the registry's decodes.
+    sim::TotalTime T = sim::totalTime({Cpu, RS.Decodes}, Disk);
     std::printf("%7u | %6llu %9llu | %6llu %9llu | %10.3f\n", N,
                 (unsigned long long)RS.Decodes,
                 (unsigned long long)RS.ResidentBytes,

@@ -114,9 +114,9 @@ struct LoadOptions {
   /// When set, each client issues one coalesced prefetch of every
   /// function before executing.
   bool PrefetchAll = false;
-  /// When set, each client runs with a PrefetchingResolver: every fault
-  /// also warms the store's predicted-next frames (coalesced by the
-  /// socket source into GetBatch round trips).
+  /// When set, each client runs its store resolver with a prefetch
+  /// pool: every fault also warms the store's predicted-next frames
+  /// (coalesced by the socket source into GetBatch round trips).
   bool Predictive = false;
   /// Optional recorded execution trace installed on each client's store
   /// before running (the predicted-successor graph Predictive consults).
@@ -207,7 +207,7 @@ inline LoadResult runSocketClients(const LoadOptions &Opts,
       vm::RunResult Run;
       if (Opts.Predictive) {
         ThreadPool Pool(2);
-        Run = store::runFromStorePrefetching(Store, Pool);
+        Run = store::runFromStore(Store, {}, &Pool);
       } else {
         Run = store::runFromStore(Store);
       }

@@ -44,79 +44,6 @@ struct DiskModel {
   double TransferBytesPerSecond = 2e6;
 };
 
-/// Total-time model: CPU execution time plus fault service time. The
-/// CPU is idle during paging (the paper's observation), so the terms
-/// add.
-struct TotalTime {
-  double CpuSeconds = 0;
-  double PagingSeconds = 0;
-  double total() const { return CpuSeconds + PagingSeconds; }
-};
-
-inline TotalTime totalTime(double CpuSeconds, const PagingResult &P,
-                           const DiskModel &D) {
-  return {CpuSeconds, static_cast<double>(P.Faults) * D.FaultSeconds};
-}
-
-/// Decode-on-fault variant for the store runtime (src/store): every
-/// store miss pays one backing-store fetch, and the CPU additionally
-/// runs the store's measured frame decompression — the "decompress the
-/// page contents on page-in" configuration of section 1.
-inline TotalTime storeTotalTime(double CpuSeconds, uint64_t Faults,
-                                uint64_t DecodeNanos, const DiskModel &D) {
-  return {CpuSeconds + static_cast<double>(DecodeNanos) / 1e9,
-          static_cast<double>(Faults) * D.FaultSeconds};
-}
-
-/// Page-granularity variant of storeTotalTime: when the store faults
-/// sub-function pages, the fixed per-fault seek still applies to every
-/// fault, but the read size now varies with the page, so the transfer
-/// term is modeled from the compressed bytes actually fetched
-/// (store::StoreStats::FetchedBytes) instead of being folded into the
-/// seek constant. Smaller pages trade more seeks for fewer wasted bytes
-/// per fault — the sweep in EXPERIMENTS E7 measures where that trade
-/// pays off.
-inline TotalTime pagedStoreTotalTime(double CpuSeconds, uint64_t Faults,
-                                     uint64_t FetchedCompressedBytes,
-                                     uint64_t DecodeNanos,
-                                     const DiskModel &D) {
-  return {CpuSeconds + static_cast<double>(DecodeNanos) / 1e9,
-          static_cast<double>(Faults) * D.FaultSeconds +
-              static_cast<double>(FetchedCompressedBytes) /
-                  D.TransferBytesPerSecond};
-}
-
-/// Remote-fetch variant: a store miss pays link transfer time instead of
-/// a disk seek. \p FetchVirtualNanos is the virtual clock accumulated by
-/// the store's frame source (store::StoreStats::FetchVirtualNanos —
-/// transfer, injected failures, and retry backoff), and the CPU still
-/// runs the frame decoder, so decode time stays a CPU term. This is the
-/// mobile-code delivery scenario of section 1 at per-function
-/// granularity.
-inline TotalTime remoteTotalTime(double CpuSeconds, uint64_t DecodeNanos,
-                                 uint64_t FetchVirtualNanos) {
-  return {CpuSeconds + static_cast<double>(DecodeNanos) / 1e9,
-          static_cast<double>(FetchVirtualNanos) / 1e9};
-}
-
-/// Multi-tenant variant: N tenant stores share one FrameRegistry, so the
-/// decode and fault bills are *registry-global* — a frame decoded for
-/// one tenant is a free hit for every other. \p TenantsCpuSeconds is the
-/// summed interpreter CPU across tenants (each tenant still executes its
-/// own instructions); \p RegistryDecodes and \p RegistryDecodeNanos come
-/// from store::RegistryStats, which bill each shared decode exactly
-/// once, process-wide. Contrast with N private stores, whose time is N
-/// independent storeTotalTime bills: the difference is the paper's
-/// memory-economics argument applied across tenants instead of across
-/// functions.
-inline TotalTime sharedStoreTotalTime(double TenantsCpuSeconds,
-                                      uint64_t RegistryDecodes,
-                                      uint64_t RegistryDecodeNanos,
-                                      const DiskModel &D) {
-  return {TenantsCpuSeconds + static_cast<double>(RegistryDecodeNanos) / 1e9,
-          static_cast<double>(RegistryDecodes) * D.FaultSeconds};
-}
-
 /// JIT cost model: what compiling hot code to native form charges. The
 /// paper's generator produces ~2.5 MB/s of native code, so a tiered run
 /// pays CompiledBytes / BytesPerSecond of CPU before the hot set runs
@@ -125,20 +52,46 @@ struct JitModel {
   double BytesPerSecond = 2.5e6; ///< Paper's JIT rate headline.
 };
 
-/// Tiered-execution variant: the paged-store time model plus a compile
-/// charge on the CPU term. \p CompiledBytes is the threaded code the
-/// tier produced (store::TierStats::CompiledBytesTotal); compilation
-/// runs on the CPU like decode does, while the paging terms are
-/// unchanged — tiering trades a one-time compile charge for the
-/// interpretation penalty on every hot instruction.
-inline TotalTime tieredTotalTime(double CpuSeconds, uint64_t Faults,
-                                 uint64_t FetchedCompressedBytes,
-                                 uint64_t DecodeNanos, uint64_t CompiledBytes,
-                                 const DiskModel &D, const JitModel &J) {
-  TotalTime T = pagedStoreTotalTime(CpuSeconds, Faults,
-                                    FetchedCompressedBytes, DecodeNanos, D);
-  T.CpuSeconds += static_cast<double>(CompiledBytes) / J.BytesPerSecond;
-  return T;
+/// What one run spent, in the units the stats structs record. Every
+/// term defaults to zero; a configuration fills the ones it pays:
+///   - disk paging (simulateLRU): CpuSeconds, Faults;
+///   - a decode-on-fault store: + FetchedBytes at page granularity,
+///     where the read size varies with the page;
+///   - a remote store: CpuSeconds and FetchVirtualNanos (the frame
+///     source's virtual link clock: transfer, failures, backoff);
+///   - a shared registry: Faults = registry-global decodes, since a
+///     frame decoded for one tenant is a free hit for every other;
+///   - tiered execution: + CompiledBytes.
+/// DecodeNanos is decode time spent *outside* CpuSeconds. A timed
+/// store run already decodes every fault inline, so it leaves this
+/// zero; a run timed warm, with its decodes outside the timed region,
+/// adds them back here.
+struct CostInputs {
+  double CpuSeconds = 0;
+  uint64_t Faults = 0;            ///< Each pays DiskModel::FaultSeconds.
+  uint64_t FetchedBytes = 0;      ///< At DiskModel::TransferBytesPerSecond.
+  uint64_t FetchVirtualNanos = 0; ///< Virtual link time.
+  uint64_t DecodeNanos = 0;       ///< Decode time not inside CpuSeconds.
+  uint64_t CompiledBytes = 0;     ///< At JitModel::BytesPerSecond.
+};
+
+/// Total-time model: CPU execution time plus fault service time. The
+/// CPU is idle during paging (the paper's observation), so the terms
+/// add.
+struct TotalTime {
+  double CpuSeconds = 0;    ///< Execution, decode and compile.
+  double PagingSeconds = 0; ///< Seeks, transfer and link time.
+  double total() const { return CpuSeconds + PagingSeconds; }
+};
+
+inline TotalTime totalTime(const CostInputs &In,
+                           const DiskModel &D = DiskModel(),
+                           const JitModel &J = JitModel()) {
+  return {In.CpuSeconds + static_cast<double>(In.DecodeNanos) / 1e9 +
+              static_cast<double>(In.CompiledBytes) / J.BytesPerSecond,
+          static_cast<double>(In.Faults) * D.FaultSeconds +
+              static_cast<double>(In.FetchedBytes) / D.TransferBytesPerSecond +
+              static_cast<double>(In.FetchVirtualNanos) / 1e9};
 }
 
 } // namespace sim

@@ -24,12 +24,10 @@ using pipeline::PayloadKind;
 namespace {
 
 constexpr uint32_t ManifestMagic = 0x4D534343; // "CCSM".
-constexpr uint8_t ManifestVersion = 1;        // Whole-function frames.
-constexpr uint8_t ManifestVersionPaged = 2;   // Sub-function page frames.
 constexpr uint8_t ManifestVersionHashed = 3;  // Flags + content-hash claim.
 constexpr uint8_t ManifestVersionPerPage = 4; // v3 + per-frame chain table.
 
-constexpr uint8_t ManifestFlagPaged = 1; // v3/v4 flags bit 0.
+constexpr uint8_t ManifestFlagPaged = 1; // Flags bit 0.
 
 /// v4 chain-table bounds: a per-frame table needs at least one
 /// alternative beside the primary, and a container naming dozens of
@@ -86,7 +84,6 @@ Result<bool> CodeStore::initRuntime(StoreOptions O) {
     unsigned N = std::max(1u, O.Shards);
     N = std::min<unsigned>(N, std::max<uint32_t>(1, frameCount()));
     RO.Shards = N;
-    RO.Policy = O.Policy;
     Reg = std::make_shared<FrameRegistry>(RO);
     PrivateReg = true;
   }
@@ -103,7 +100,6 @@ Result<bool> CodeStore::initRuntime(StoreOptions O) {
     return H.error();
   Heat = H.take();
   PinnedByMe.assign(frameCount(), 0);
-  PinGens.assign(frameCount(), 0);
   return true;
 }
 
@@ -116,7 +112,7 @@ CodeStore::~CodeStore() {
   std::lock_guard<std::mutex> L(PinMu);
   for (uint32_t I = 0; I != PinnedByMe.size(); ++I)
     if (PinnedByMe[I])
-      Reg->unpin(keyOf(I), PinGens[I]);
+      Reg->unpin(keyOf(I));
 }
 
 void CodeStore::indexPages() {
@@ -428,24 +424,14 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
     if (R.readU32() != ManifestMagic)
       decodeFail("store: bad manifest magic");
     uint8_t Version = R.readU8();
-    bool HaveClaim = false;
-    bool PerPage = false;
-    uint64_t Claim = 0;
-    if (Version == ManifestVersionHashed ||
-        Version == ManifestVersionPerPage) {
-      PerPage = Version == ManifestVersionPerPage;
-      uint8_t Flags = R.readU8();
-      if (Flags & ~uint8_t(ManifestFlagPaged))
-        decodeFail("store: unknown manifest flags");
-      S->Paged = (Flags & ManifestFlagPaged) != 0;
-      Claim = R.readU64();
-      HaveClaim = true;
-    } else if (Version == ManifestVersion ||
-               Version == ManifestVersionPaged) {
-      S->Paged = Version == ManifestVersionPaged;
-    } else {
+    if (Version != ManifestVersionHashed && Version != ManifestVersionPerPage)
       decodeFail("store: unsupported manifest version");
-    }
+    const bool PerPage = Version == ManifestVersionPerPage;
+    uint8_t Flags = R.readU8();
+    if (Flags & ~uint8_t(ManifestFlagPaged))
+      decodeFail("store: unknown manifest flags");
+    S->Paged = (Flags & ManifestFlagPaged) != 0;
+    const uint64_t Claim = R.readU64();
     if (R.readU8() != bodyTag(S->Kind))
       decodeFail("store: manifest payload kind does not match codec chain");
     if (PerPage) {
@@ -594,22 +580,10 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
     // typed.
     uint64_t Computed = 0;
     bool HaveComputed = Src->contentHash(Computed);
-    if (Opts.SharedRegistry && HaveClaim && HaveComputed &&
-        Claim != Computed)
+    if (Opts.SharedRegistry && HaveComputed && Claim != Computed)
       decodeFail("store: manifest container hash does not match the "
                  "frames; refusing to join the shared registry");
-    if (HaveComputed)
-      S->Hash = Computed;
-    else if (HaveClaim)
-      S->Hash = Claim;
-    else if (!Opts.SharedRegistry)
-      // Legacy container on an unhashable source: any stable value
-      // works for a private registry.
-      S->Hash = pipeline::hashContainerFrames(S->Spec, {Manifest});
-    else
-      decodeFail("store: legacy container carries no content hash and "
-                 "the source cannot be hashed; cannot join a shared "
-                 "registry");
+    S->Hash = HaveComputed ? Computed : Claim;
 
     S->indexPages();
     S->Source = std::move(Src);
@@ -701,8 +675,7 @@ CodeStore::FaultOutcome CodeStore::decodeFrame(uint32_t Id, FetchMetrics &M) {
 }
 
 CodeStore::FaultOutcome CodeStore::registryFault(uint32_t Id, bool Pin,
-                                                 uint64_t Held, bool Prefetch,
-                                                 uint64_t *PinGenOut) {
+                                                 bool Held, bool Prefetch) {
   FrameRegistry::Info I;
   FaultOutcome Out = Reg->fault(
       keyOf(Id), Pin, Held, Prefetch,
@@ -738,8 +711,6 @@ CodeStore::FaultOutcome CodeStore::registryFault(uint32_t Id, bool Pin,
   }
   if (I.Led && !Out.ok())
     Cnt.DecodeErrors.fetch_add(1, std::memory_order_relaxed);
-  if (PinGenOut)
-    *PinGenOut = I.PinGen;
   return Out;
 }
 
@@ -753,20 +724,17 @@ CodeStore::FaultOutcome CodeStore::faultImpl(uint32_t Id, bool Pin,
     // tracks the access pattern, not the cache's current luck.
     Heat->touch(Id, Paged ? FrameFunc[Id] : Id);
   if (!Pin)
-    return registryFault(Id, /*Pin=*/false, /*Held=*/0, Prefetch, nullptr);
+    return registryFault(Id, /*Pin=*/false, /*Held=*/false, Prefetch);
 
   // Pinning fault: PinMu serializes this tenant's pin bookkeeping so
   // two threads pinning the same frame take exactly one registry
   // reference. Lock order is always tenant PinMu -> registry shard
   // locks, never the reverse.
   std::lock_guard<std::mutex> L(PinMu);
-  uint64_t Held = PinnedByMe[Id] ? PinGens[Id] : 0;
-  uint64_t NewGen = 0;
-  FaultOutcome Out = registryFault(Id, /*Pin=*/true, Held, Prefetch, &NewGen);
-  if (Out.ok()) {
+  FaultOutcome Out =
+      registryFault(Id, /*Pin=*/true, PinnedByMe[Id] != 0, Prefetch);
+  if (Out.ok())
     PinnedByMe[Id] = 1;
-    PinGens[Id] = NewGen;
-  }
   return Out;
 }
 
@@ -850,11 +818,7 @@ void CodeStore::unpinEntry(uint32_t Id) {
   if (!PinnedByMe[Id])
     return;
   PinnedByMe[Id] = 0;
-  // A stale generation (the pinned entry was evicted under plain LRU
-  // and possibly re-created) makes this a registry no-op — the pin
-  // died with the eviction.
-  Reg->unpin(keyOf(Id), PinGens[Id]);
-  PinGens[Id] = 0;
+  Reg->unpin(keyOf(Id));
 }
 
 void CodeStore::unpin(uint32_t Id) {

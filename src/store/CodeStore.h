@@ -26,7 +26,7 @@
 ///   - its FrameSource and RetryPolicy — the faulting tenant fetches
 ///     compressed bytes through its *own* transport, so two tenants of
 ///     one module may pull frames from different media;
-///   - its pins, generation-tagged in the registry so tenants cannot
+///   - its pins, counted per holder in the registry so tenants cannot
 ///     release each other's;
 ///   - its traffic counters: Hits/Misses/SingleFlightWaits and the
 ///     fetch bill are attributed per tenant, while decode execution
@@ -52,10 +52,10 @@
 /// FuncImage). Module-granularity codecs (wire) cannot represent a
 /// single function and are rejected at build/load time with a clear
 /// error. The on-disk form is a standard CCPK container whose frame 0 is
-/// the store manifest (globals/entry skeleton plus per-function headers;
-/// manifest v3 additionally carries the container's content hash and a
-/// paged flag — v1/v2 containers still load) and whose frames 1..N are
-/// the compressed bodies (functions, or pages in manifest order).
+/// the store manifest (a paged flag, the container's content hash, the
+/// globals/entry skeleton and per-function headers; manifest v3) and
+/// whose frames 1..N are the compressed bodies (functions, or pages in
+/// manifest order).
 ///
 /// Per-frame codec selection. build() with StoreOptions::CandidateChains
 /// trial-encodes every frame through the primary chain plus each
@@ -72,15 +72,13 @@
 /// pipeline::hashContainerFrames over (chain spec, frame bytes),
 /// computed by build() and recomputed at load time whenever the source
 /// can produce its content (in-memory containers; simulated-remote
-/// origins). A v3 manifest's *claimed* hash is checked against the
-/// recomputed one before a store may join a shared registry — a
-/// doctored or corrupt container fails typed instead of poisoning
-/// another tenant's frames. Sources that cannot be content-hashed
-/// (on-demand files) trust the manifest claim, and legacy v1/v2
-/// containers from such sources have no claim at all, so they are
-/// refused shared registration outright; private stores accept all of
-/// these (a corrupt frame still surfaces as a typed per-fault error,
-/// never anyone else's problem).
+/// origins). Every manifest carries the hash build() computed as a
+/// *claim*, checked against the recomputed one before a store may join
+/// a shared registry — a doctored or corrupt container fails typed
+/// instead of poisoning another tenant's frames. Sources that cannot be
+/// content-hashed (on-demand files) trust the claim. Private stores
+/// accept a mismatched claim (a corrupt frame still surfaces as a typed
+/// per-fault error, never anyone else's problem).
 ///
 /// Frames live behind a FrameSource (store/FrameSource.h), so the same
 /// fault path serves frames held in memory (LocalFrameSource), read on
@@ -128,11 +126,10 @@ struct StoreOptions {
   /// shards, so the shard budgets always sum to this value). The budget
   /// is a target, not a hard cap: the entry faulted in most recently is
   /// never evicted, so any budget >= 1 frame still executes. Ignored —
-  /// along with Shards and Policy — when SharedRegistry is set: a
-  /// shared registry brings its own RegistryOptions.
+  /// along with Shards — when SharedRegistry is set: a shared registry
+  /// brings its own RegistryOptions.
   size_t CacheBudgetBytes = 1u << 20;
   unsigned Shards = 8; ///< Clamped to [1, frame count] (private registry).
-  EvictPolicy Policy = EvictPolicy::PinAwareLRU;
   unsigned BuildJobs = 1; ///< Compression fan-out in build().
   /// build() only: when nonzero, split functions at basic-block
   /// boundaries into pages of at most this many fixed-width code bytes
@@ -237,9 +234,8 @@ public:
 
   /// Serializes manifest + frames into a CCPK container, fetching every
   /// frame from the source. Fails typed if the source cannot produce
-  /// some frame (e.g. a dead backing file). Writes manifest v3 (with
-  /// the content-hash claim) whatever version was loaded — or v4 when
-  /// the store carries a per-frame chain table, which v4 preserves.
+  /// some frame (e.g. a dead backing file). Writes manifest v3, or v4
+  /// when the store carries a per-frame chain table.
   Result<std::vector<uint8_t>> trySave();
   /// Aborting wrapper for stores whose source cannot fail (in-memory).
   std::vector<uint8_t> save();
@@ -340,10 +336,9 @@ public:
   Result<vm::CodeSpan> faultSpan(uint32_t Fn, uint32_t Idx);
 
   /// Faults \p Id in and marks it pinned (every page of it, when
-  /// paged); pinned entries are never evicted under
-  /// EvictPolicy::PinAwareLRU. Pins are per tenant: two stores pinning
-  /// the same shared frame hold independent references, and unpin
-  /// releases only this store's.
+  /// paged); pinned entries are never evicted. Pins are per tenant: two
+  /// stores pinning the same shared frame hold independent references,
+  /// and unpin releases only this store's.
   Result<std::shared_ptr<const vm::VMFunction>> pin(uint32_t Id);
   void unpin(uint32_t Id);
 
@@ -444,12 +439,10 @@ private:
   /// and counts successful decodes as PrefetchDecodes.
   FaultOutcome faultImpl(uint32_t Id, bool Pin, bool Prefetch);
   /// The registry round trip for one frame: fetch+decode callback,
-  /// traffic attribution, pin-generation bookkeeping. \p Held is the
-  /// pin generation this tenant already holds (0 for none); on success
-  /// with \p Pin, \p PinGenOut receives the generation the pin now
-  /// holds. Caller holds PinMu when \p Pin is set.
-  FaultOutcome registryFault(uint32_t Id, bool Pin, uint64_t Held,
-                             bool Prefetch, uint64_t *PinGenOut);
+  /// traffic attribution. \p Held says this tenant already pins \p
+  /// Id. Caller holds PinMu when \p Pin is set.
+  FaultOutcome registryFault(uint32_t Id, bool Pin, bool Held,
+                             bool Prefetch);
   /// Faults every page of \p Fn and concatenates them into a full body.
   FaultOutcome assembleFunction(uint32_t Fn, bool Pin);
   /// Fetches frame \p Id from the source (under Opts.Retry, charging \p
@@ -510,9 +503,9 @@ private:
   std::string Spec;
   std::vector<const pipeline::Codec *> Chain;
   /// Per-frame codec selection (manifest v4). Empty FrameChain means
-  /// every frame decodes through Chain (v1-v3 containers and uniform
-  /// builds). Otherwise ChainSpecs/Chains is the candidate table with
-  /// entry 0 == Spec/Chain, and FrameChain[Id] indexes it per frame.
+  /// every frame decodes through Chain (manifest v3). Otherwise
+  /// ChainSpecs/Chains is the candidate table with entry 0 ==
+  /// Spec/Chain, and FrameChain[Id] indexes it per frame.
   std::vector<std::string> ChainSpecs;
   std::vector<std::vector<const pipeline::Codec *>> Chains;
   std::vector<uint32_t> FrameChain;
@@ -541,13 +534,12 @@ private:
   mutable std::mutex SuccMu;
   std::shared_ptr<const SuccessorGraph> Succ;
 
-  /// Per-tenant pin bookkeeping: which frames this store pinned, and at
-  /// which registry entry generation. Guarded by PinMu, which is held
-  /// across a pinning fault so two threads pinning the same frame on
-  /// one tenant take exactly one registry reference.
+  /// Per-tenant pin bookkeeping: which frames this store pinned.
+  /// Guarded by PinMu, which is held across a pinning fault so two
+  /// threads pinning the same frame on one tenant take exactly one
+  /// registry reference.
   mutable std::mutex PinMu;
   std::vector<uint8_t> PinnedByMe;
-  std::vector<uint64_t> PinGens;
 };
 
 /// Decoded in-memory footprint we charge the cache for one function (or

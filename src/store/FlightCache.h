@@ -22,15 +22,11 @@
 ///     the rest block on a shared_future and observe the same outcome
 ///     (including a typed error);
 ///   - pin-aware eviction: eviction walks from the cold end, never
-///     evicts the entry inserted by the fault in progress, and (when
-///     pins are honored) skips pinned entries; a budget of one byte
-///     still serves;
-///   - generation-tagged pins: every insert stamps a fresh generation,
-///     and pins are counted per entry generation so two *tenants*
-///     pinning the same entry hold independent references — an unpin
-///     with a stale generation (the pinned entry was evicted under the
-///     plain-LRU policy and re-inserted) is a no-op instead of
-///     releasing someone else's pin;
+///     evicts the entry inserted by the fault in progress, and skips
+///     pinned entries; a budget of one byte still serves;
+///   - counted pins: two *tenants* pinning the same entry hold
+///     independent references, and a pinned entry is never evicted, so
+///     a pin holder's unpin always finds the entry it pinned;
 ///   - an optional admission gate, consulted only at the moment a
 ///     caller would become the compute leader. Callers that find the
 ///     value resident or an in-flight compute are served regardless —
@@ -95,15 +91,10 @@ public:
     unsigned Waits = 0;     ///< Joined another caller's in-flight compute.
     bool Led = false;       ///< This call ran the compute callback.
     bool Declined = false;  ///< The admission gate said no; nothing ran.
-    uint64_t PinGen = 0;    ///< Entry generation a requested pin holds.
   };
 
-  /// \p HonorPins false records pins (for the gauges) but lets eviction
-  /// take pinned entries anyway — the CodeStore's plain-LRU policy.
-  FlightCache(size_t BudgetBytes, unsigned NumShards, bool HonorPins,
-              CostFn Cost)
-      : HonorPins(HonorPins), Cost(std::move(Cost)),
-        Shards(std::max(1u, NumShards)) {
+  FlightCache(size_t BudgetBytes, unsigned NumShards, CostFn Cost)
+      : Cost(std::move(Cost)), Shards(std::max(1u, NumShards)) {
     // Split the budget so the shard budgets sum to exactly the
     // configured bytes: budget/N each, remainder spread one byte per
     // shard. (A plain budget/N truncates — a 7-byte budget over 4
@@ -117,13 +108,12 @@ public:
 
   /// Returns the cached value for \p K, computing it via \p Fn at most
   /// once across concurrent callers. \p AddPin requests a pin on the
-  /// entry; \p HeldGen is the generation of a pin this caller already
-  /// holds (0 for none), so re-pinning the same generation is not
-  /// double-counted. \p G, when set, is consulted only if this call
-  /// would become the compute leader; a false return declines the fault
-  /// (Info.Declined) without computing.
-  Outcome fault(const Key &K, bool AddPin, uint64_t HeldGen,
-                const Compute &Fn, Info &I, const Gate &G = Gate()) {
+  /// entry; \p Held says this caller already holds one, so re-pinning
+  /// is not double-counted. \p G, when set, is consulted only if this
+  /// call would become the compute leader; a false return declines the
+  /// fault (Info.Declined) without computing.
+  Outcome fault(const Key &K, bool AddPin, bool Held, const Compute &Fn,
+                Info &I, const Gate &G = Gate()) {
     Shard &Sh = shardOf(K);
     for (;;) {
       std::shared_future<Outcome> Wait;
@@ -134,11 +124,8 @@ public:
         if (It != Sh.Map.end()) {
           Sh.Lru.splice(Sh.Lru.begin(), Sh.Lru, It->second.LruIt);
           ++I.Hits;
-          if (AddPin && It->second.Gen != HeldGen) {
-            if (It->second.PinCount++ == 0)
-              ++Sh.C.PinnedEntries;
-          }
-          I.PinGen = It->second.Gen;
+          if (AddPin && !Held && It->second.PinCount++ == 0)
+            ++Sh.C.PinnedEntries;
           return Outcome(It->second.Val);
         }
         ++I.Misses;
@@ -179,7 +166,6 @@ public:
           (void)Inserted; // InFlight excluded any concurrent compute of K.
           MIt->second.Val = Out.value();
           MIt->second.Cost = C;
-          MIt->second.Gen = ++Sh.NextGen;
           Sh.Lru.push_front(K);
           MIt->second.LruIt = Sh.Lru.begin();
           Sh.C.ResidentBytes += C;
@@ -188,7 +174,6 @@ public:
             MIt->second.PinCount = 1;
             ++Sh.C.PinnedEntries;
           }
-          I.PinGen = MIt->second.Gen;
           evictOver(Sh, K);
         }
       }
@@ -197,15 +182,12 @@ public:
     }
   }
 
-  /// Releases one pin taken at generation \p HeldGen. A stale
-  /// generation (the entry was evicted and re-created since) is a
-  /// no-op: the pin it names no longer exists.
-  void unpin(const Key &K, uint64_t HeldGen) {
+  /// Releases one pin on \p K; a no-op when \p K holds none.
+  void unpin(const Key &K) {
     Shard &Sh = shardOf(K);
     std::lock_guard<std::mutex> L(Sh.Mu);
     auto It = Sh.Map.find(K);
-    if (It == Sh.Map.end() || It->second.Gen != HeldGen ||
-        It->second.PinCount == 0)
+    if (It == Sh.Map.end() || It->second.PinCount == 0)
       return;
     if (--It->second.PinCount == 0)
       --Sh.C.PinnedEntries;
@@ -259,7 +241,6 @@ private:
     Value Val{};
     size_t Cost = 0;
     uint32_t PinCount = 0;
-    uint64_t Gen = 0; ///< Stamped at insert; pins are per generation.
     typename std::list<Key>::iterator LruIt;
   };
 
@@ -270,7 +251,6 @@ private:
     std::unordered_map<Key, std::shared_future<Outcome>, Hasher> InFlight;
     FlightCounters C; ///< Guarded by Mu.
     size_t Budget = 0;
-    uint64_t NextGen = 0;
   };
 
   Shard &shardOf(const Key &K) {
@@ -282,16 +262,12 @@ private:
 
   /// Evicts from the cold end until under budget. The entry faulted in
   /// most recently (\p Keep) is never a victim, so a budget smaller
-  /// than one entry still serves; pinned entries are skipped when pins
-  /// are honored, and a pinned victim under the plain policy releases
-  /// its pins with it (the gauge drops accordingly).
+  /// than one entry still serves; pinned entries are skipped.
   void evictOver(Shard &Sh, const Key &Keep) {
     while (Sh.C.ResidentBytes > Sh.Budget && Sh.Map.size() > 1) {
       auto VictimIt = Sh.Lru.end();
       for (auto R = Sh.Lru.rbegin(); R != Sh.Lru.rend(); ++R) {
-        if (*R == Keep)
-          continue;
-        if (HonorPins && Sh.Map.find(*R)->second.PinCount > 0)
+        if (*R == Keep || Sh.Map.find(*R)->second.PinCount > 0)
           continue;
         VictimIt = std::prev(R.base());
         break;
@@ -301,15 +277,12 @@ private:
       auto MIt = Sh.Map.find(*VictimIt);
       Sh.C.ResidentBytes -= MIt->second.Cost;
       --Sh.C.ResidentEntries;
-      if (MIt->second.PinCount > 0)
-        --Sh.C.PinnedEntries; // Only reachable under the plain policy.
       Sh.Map.erase(MIt);
       Sh.Lru.erase(VictimIt);
       ++Sh.C.Evictions;
     }
   }
 
-  bool HonorPins;
   CostFn Cost;
   std::vector<Shard> Shards;
 };

@@ -38,7 +38,6 @@ ModuleHeat::ModuleHeat(ModuleIdent Ident) : Id(std::move(Ident)) {
 
 FrameRegistry::FrameRegistry(RegistryOptions O)
     : Opts(O), C(O.CacheBudgetBytes, std::max(1u, O.Shards),
-                 O.Policy == EvictPolicy::PinAwareLRU,
                  [](const Body &B) { return decodedCostBytes(*B); }) {}
 
 Result<std::shared_ptr<ModuleHeat>>
@@ -62,10 +61,10 @@ FrameRegistry::registerModule(uint64_t Hash, const ModuleIdent &Id) {
 }
 
 FrameRegistry::Outcome FrameRegistry::fault(const FrameKey &K, bool AddPin,
-                                            uint64_t HeldGen, bool Prefetch,
+                                            bool Held, bool Prefetch,
                                             const Decoder &Decode, Info &I) {
   Outcome Out = C.fault(
-      K, AddPin, HeldGen,
+      K, AddPin, Held,
       [&]() -> Outcome {
         // Leader: the tenant fetches through its own transport and
         // decodes; the registry bills the decode once, process-wide.

@@ -25,7 +25,7 @@
 ///   - the CodeStore tenant owns what is per-client: its FrameSource
 ///     and RetryPolicy (the registry never fetches — the faulting
 ///     tenant fetches through *its own* transport and hands the
-///     registry a decode callback), its pins (generation-tagged in the
+///     registry a decode callback), its pins (counted per holder in the
 ///     FlightCache so tenants cannot release each other's), and its
 ///     traffic counters (hits/misses/waits/fetch bill), classified
 ///     from the per-call FlightCache::Info.
@@ -69,17 +69,9 @@ struct VMFunction;
 
 namespace store {
 
-/// Cache replacement policies (shared by StoreOptions and
-/// RegistryOptions).
-enum class EvictPolicy : uint8_t {
-  LRU,         ///< Strict LRU; pin marks are recorded but not honored.
-  PinAwareLRU, ///< LRU that skips pinned entries (the default).
-};
-
 /// Registry construction knobs. These govern the *process-wide* cache;
 /// a CodeStore joining a shared registry brings its own FrameSource and
-/// RetryPolicy but inherits the registry's budget, sharding, and
-/// eviction policy.
+/// RetryPolicy but inherits the registry's budget and sharding.
 struct RegistryOptions {
   /// Total decoded-bytes budget across every tenant and module, split
   /// over shards with the remainder distributed (the shard budgets
@@ -87,7 +79,6 @@ struct RegistryOptions {
   /// faulted in most recently is never evicted.
   size_t CacheBudgetBytes = 1u << 20;
   unsigned Shards = 8; ///< Clamped to >= 1.
-  EvictPolicy Policy = EvictPolicy::PinAwareLRU;
 };
 
 /// Registry-global counters and gauges. Decode counters are
@@ -207,14 +198,14 @@ public:
                                                      const ModuleIdent &Id);
 
   /// Faults (Hash, Frame): returns the resident body or runs \p Decode
-  /// exactly once across all concurrent tenants. \p AddPin/\p HeldGen
+  /// exactly once across all concurrent tenants. \p AddPin/\p Held
   /// and the returned \p I are FlightCache semantics — the caller
   /// attributes I.Hits/Misses/Waits to its own counters. \p Prefetch
   /// only affects how a *led* decode is billed (PrefetchDecodes).
-  Outcome fault(const FrameKey &K, bool AddPin, uint64_t HeldGen,
-                bool Prefetch, const Decoder &Decode, Info &I);
+  Outcome fault(const FrameKey &K, bool AddPin, bool Held, bool Prefetch,
+                const Decoder &Decode, Info &I);
 
-  void unpin(const FrameKey &K, uint64_t HeldGen) { C.unpin(K, HeldGen); }
+  void unpin(const FrameKey &K) { C.unpin(K); }
   bool resident(const FrameKey &K) const { return C.resident(K); }
 
   RegistryStats stats() const;

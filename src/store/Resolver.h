@@ -32,11 +32,18 @@ namespace store {
 /// Routes vm::Machine call/return faults through a CodeStore. A decode
 /// failure surfaces as a resolver failure, which the interpreter turns
 /// into a trap for that run — the process (and the store's other
-/// functions) carry on. Subclassable: store::TieredResolver layers the
-/// native execution tier on this fault path.
+/// functions) carry on. store::TieredResolver layers the native
+/// execution tier on this fault path.
+///
+/// With a \p Prefetch pool, every successful span resolve also warms
+/// the predicted successors of the faulted frame (recorded successor
+/// graph when a profile was applied, static call/fall-through graph
+/// otherwise) through that pool. Warms are asynchronous: call
+/// Pool.wait() (or destroy the pool) before tearing down the store.
 class StoreBackedResolver : public vm::FunctionResolver {
 public:
-  explicit StoreBackedResolver(CodeStore &S) : Store(S) {}
+  explicit StoreBackedResolver(CodeStore &S, ThreadPool *Prefetch = nullptr)
+      : Store(S), Prefetch(Prefetch) {}
 
   uint32_t functionCount() const override { return Store.functionCount(); }
 
@@ -51,40 +58,15 @@ public:
 
 protected:
   CodeStore &Store;
-};
-
-/// Trace-driven prefetch on the fault path: after each successful span
-/// resolve, asks the store to warm the predicted successors of the
-/// faulted frame (recorded successor graph when a profile was applied,
-/// static call/fall-through graph otherwise) through \p Pool. Warms are
-/// asynchronous — call Pool.wait() (or destroy the pool) before tearing
-/// down the store.
-class PrefetchingResolver : public StoreBackedResolver {
-public:
-  PrefetchingResolver(CodeStore &S, ThreadPool &Pool)
-      : StoreBackedResolver(S), Pool(Pool) {}
-
-  bool resolveSpan(uint32_t Fn, uint32_t Idx, vm::CodeSpan &Out,
-                   std::string &Err) override {
-    if (!StoreBackedResolver::resolveSpan(Fn, Idx, Out, Err))
-      return false;
-    Store.prefetchPredicted(Fn, Idx, Pool);
-    return true;
-  }
-
-private:
-  ThreadPool &Pool;
+  ThreadPool *Prefetch;
 };
 
 /// Convenience: interpret the store's program end-to-end, decoding
-/// functions on fault. Opts.Resolver is overwritten.
-vm::RunResult runFromStore(CodeStore &S,
-                           vm::RunOptions Opts = vm::RunOptions());
-
-/// runFromStore with predictive prefetch: every fault also warms the
-/// store's predicted-next frames through \p Pool.
-vm::RunResult runFromStorePrefetching(CodeStore &S, ThreadPool &Pool,
-                                      vm::RunOptions Opts = vm::RunOptions());
+/// functions on fault. Opts.Resolver is overwritten. With a \p Prefetch
+/// pool every fault also warms the store's predicted-next frames; the
+/// pool is drained before this returns.
+vm::RunResult runFromStore(CodeStore &S, vm::RunOptions Opts = vm::RunOptions(),
+                           ThreadPool *Prefetch = nullptr);
 
 } // namespace store
 } // namespace ccomp

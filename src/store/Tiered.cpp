@@ -22,9 +22,10 @@ uint64_t nowNanos() {
 
 } // namespace
 
-TieredResolver::TieredResolver(CodeStore &S, TierOptions Opts)
-    : StoreBackedResolver(S), TO(Opts),
-      Units(Opts.CompiledBudgetBytes, /*NumShards=*/1, /*HonorPins=*/true,
+TieredResolver::TieredResolver(CodeStore &S, TierOptions Opts,
+                               ThreadPool *Prefetch)
+    : StoreBackedResolver(S, Prefetch), TO(Opts),
+      Units(Opts.CompiledBudgetBytes, /*NumShards=*/1,
             [](const UnitPtr &U) { return U->codeBytes(); }) {}
 
 TieredResolver::~TieredResolver() = default;
@@ -33,7 +34,7 @@ bool TieredResolver::enterNative(vm::Machine &M, uint32_t &Fn, uint32_t &Idx,
                                  uint64_t &Steps) {
   // Page tracking (RunOptions::Layout) records per-instruction code
   // touches the native tier cannot observe; those runs interpret.
-  if (!TO.Enabled || M.options().Layout)
+  if (M.options().Layout)
     return false;
   native::TierRunStats TS;
   if (!native::runTiered(M, *this, Fn, Idx, Steps, &TS))
@@ -82,16 +83,11 @@ TieredResolver::UnitPtr TieredResolver::unitForExecution(uint32_t Fn,
   std::unique_lock<std::mutex> L(Mu);
   if (Failed.count(Fn))
     return nullptr;
-  uint64_t Held = 0;
-  if (Pin) {
-    auto It = PinHeld.find(Fn);
-    if (It != PinHeld.end())
-      Held = It->second;
-  } else {
+  bool Held = Pin && PinHeld.count(Fn);
+  if (!Pin)
     // The non-pin fast path does not need the resolver lock; only pin
     // bookkeeping must be serialized across the fault.
     L.unlock();
-  }
   Cache::Info I;
   Result<UnitPtr> Out = Units.fault(
       Fn, Pin, Held, [&] { return compileUnit(Fn); }, I,
@@ -110,7 +106,7 @@ TieredResolver::UnitPtr TieredResolver::unitForExecution(uint32_t Fn,
     return nullptr;
   }
   if (Pin)
-    PinHeld[Fn] = I.PinGen; // Mu still held on this path.
+    PinHeld.insert(Fn); // Mu still held on this path.
   return Out.take();
 }
 
@@ -120,11 +116,8 @@ bool TieredResolver::pinCompiled(uint32_t Fn) {
 
 void TieredResolver::unpinCompiled(uint32_t Fn) {
   std::lock_guard<std::mutex> L(Mu);
-  auto It = PinHeld.find(Fn);
-  if (It == PinHeld.end())
-    return;
-  Units.unpin(Fn, It->second);
-  PinHeld.erase(It);
+  if (PinHeld.erase(Fn))
+    Units.unpin(Fn);
 }
 
 bool TieredResolver::isCompiled(uint32_t Fn) const {

@@ -41,7 +41,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace ccomp {
@@ -49,7 +48,6 @@ namespace store {
 
 /// Tiering knobs.
 struct TierOptions {
-  bool Enabled = true;
   /// Compile a function once its demand heat (page faults + hits) is at
   /// least this. 0 compiles at first entry.
   uint64_t HotThreshold = 8;
@@ -82,15 +80,18 @@ struct TierStats {
 
 /// StoreBackedResolver plus the native tier. Thread-safe like its base:
 /// one TieredResolver may serve several Machines concurrently, and the
-/// compiled cache single-flights so each function compiles once.
+/// compiled cache single-flights so each function compiles once. A \p
+/// Prefetch pool turns on the base's predictive prefetch for the faults
+/// the interpreter still takes.
 class TieredResolver : public StoreBackedResolver,
                        private native::UnitSource {
 public:
-  explicit TieredResolver(CodeStore &S, TierOptions TO = TierOptions());
+  explicit TieredResolver(CodeStore &S, TierOptions TO = TierOptions(),
+                          ThreadPool *Prefetch = nullptr);
   ~TieredResolver() override;
 
-  /// The tier gate. Declines (interprets) when tiering is disabled or
-  /// the run needs interpreter-only instrumentation (page tracking via
+  /// The tier gate. Declines (interprets) when the run needs
+  /// interpreter-only instrumentation (page tracking via
   /// RunOptions::Layout); otherwise compiles-on-hot and executes.
   bool enterNative(vm::Machine &M, uint32_t &Fn, uint32_t &Idx,
                    uint64_t &Steps) override;
@@ -150,8 +151,8 @@ private:
   /// retry every entry, the interpreter's own fault will surface the
   /// typed error.
   std::unordered_set<uint32_t> Failed;
-  /// Fn -> pin generation this resolver holds in the unit cache.
-  std::unordered_map<uint32_t, uint64_t> PinHeld;
+  /// Functions this resolver holds a pin on in the unit cache.
+  std::unordered_set<uint32_t> PinHeld;
 };
 
 /// Convenience: run the store's program end-to-end with tiering.

@@ -351,16 +351,19 @@ TEST(FaultInjection, PagedStoreContainerSurvivesCorruption) {
 
 namespace {
 
-/// Packs a crafted version-2 (paged) store manifest plus \p NumFrames
-/// junk frames into a flate container, for targeted page-table attacks.
-/// \p BodyTag is 1 for fixed-code chains (flate), 0 for function images.
+/// Packs a crafted paged store manifest (version 3 unless \p Version
+/// says otherwise) plus \p NumFrames junk frames into a flate
+/// container, for targeted page-table attacks. \p BodyTag is 1 for
+/// fixed-code chains (flate), 0 for function images.
 std::vector<uint8_t>
 craftedPagedImage(const std::function<void(ByteWriter &)> &WriteFuncs,
                   size_t NumFrames, const std::string &Chain = "flate",
-                  uint8_t BodyTag = 1) {
+                  uint8_t BodyTag = 1, uint8_t Version = 3) {
   ByteWriter W;
   W.writeU32(0x4D534343); // CCSM
-  W.writeU8(2);           // paged manifest version
+  W.writeU8(Version);
+  W.writeU8(1);  // flags: paged
+  W.writeU64(0); // content-hash claim (a private load tolerates a lie)
   W.writeU8(BodyTag);
   W.writeVarU(0); // Entry
   W.writeVarU(0); // GlobalBase
@@ -510,6 +513,22 @@ TEST(FaultInjection, PagedManifestRejectsCraftedAttacks) {
                       },
                       3),
                   "does not match");
+
+  // Versions 1 and 2 (no flags, no hash claim) are rejected, even in
+  // front of an otherwise well-formed page table.
+  for (uint8_t Old : {uint8_t(1), uint8_t(2)})
+    ExpectLoadFails(craftedPagedImage(
+                        [](ByteWriter &W) {
+                          W.writeVarU(1);
+                          W.writeStr("f");
+                          W.writeVarU(0);
+                          W.writeVarU(4);
+                          W.writeVarU(0);
+                          W.writeVarU(1);
+                          W.writeVarU(4);
+                        },
+                        1, "flate", /*BodyTag=*/1, Old),
+                    "unsupported manifest version");
 
   // A consistent-but-absurd page table (2^31 instructions in one page)
   // parses, but faulting it must fail typed on the junk frame without

@@ -104,25 +104,6 @@ std::vector<uint8_t> doctorHashClaim(const std::vector<uint8_t> &Image) {
   return pipeline::packContainer(Box.ChainSpec, Box.Frames);
 }
 
-/// Rewrites \p Image's v3 manifest to the legacy v1/v2 layout (drops
-/// the flags byte and the hash claim), as a container written by an
-/// older build would look.
-std::vector<uint8_t> downgradeManifest(const std::vector<uint8_t> &Image) {
-  Result<pipeline::Container> C = pipeline::tryUnpackContainer(Image);
-  EXPECT_TRUE(C.ok());
-  pipeline::Container Box = C.take();
-  std::vector<uint8_t> &M = Box.Frames[0];
-  EXPECT_GE(M.size(), 15u);
-  // v3: magic u32 | version u8 | flags u8 | hash u64 | body...
-  // v2: magic u32 | version u8 |                       body...
-  bool Paged = (M[5] & 1) != 0;
-  std::vector<uint8_t> Legacy(M.begin(), M.begin() + 4);
-  Legacy.push_back(Paged ? 2 : 1);
-  Legacy.insert(Legacy.end(), M.begin() + 14, M.end());
-  M = std::move(Legacy);
-  return pipeline::packContainer(Box.ChainSpec, Box.Frames);
-}
-
 vm::RunResult mustRun(CodeStore &S) {
   vm::RunResult R = runFromStore(S);
   EXPECT_TRUE(R.Ok) << R.Trap;
@@ -351,41 +332,14 @@ TEST(SharedStore, DoctoredHashClaimRefusedSharedAcceptedPrivate) {
   EXPECT_EQ(Run.ExitCode, vm::runProgram(P).ExitCode);
 }
 
-// Legacy (pre-hash) containers on a source that cannot be re-hashed —
-// an on-demand file — carry no trustworthy identity, so they are
-// refused shared registration and accepted privately.
-TEST(SharedStore, LegacyFileContainerRefusedSharedAcceptedPrivate) {
+// A source that cannot be re-hashed — an on-demand file — joins on the
+// manifest's (trusted) claim, landing on the same identity as the
+// in-memory load, whose hash is recomputed from the frames.
+TEST(SharedStore, FileContainerJoinsOnItsClaim) {
   vm::VMProgram P = buildVM(syntheticSource(4));
   std::unique_ptr<CodeStore> Built =
       mustBuildStore(P, "brisc+flate", StoreOptions());
   ASSERT_NE(Built, nullptr);
-  std::vector<uint8_t> Legacy = downgradeManifest(Built->save());
-
-  const std::string Path = testing::TempDir() + "ccomp_legacy_store.ccpk";
-  {
-    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(reinterpret_cast<const char *>(Legacy.data()),
-              static_cast<std::streamsize>(Legacy.size()));
-  }
-
-  StoreOptions Shared;
-  Shared.SharedRegistry = std::make_shared<FrameRegistry>();
-  Result<std::unique_ptr<CodeStore>> R = CodeStore::tryOpenFile(Path, Shared);
-  ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.error().message().find("shared"), std::string::npos);
-
-  Result<std::unique_ptr<CodeStore>> Priv =
-      CodeStore::tryOpenFile(Path, StoreOptions());
-  ASSERT_TRUE(Priv.ok()) << Priv.error().message();
-  EXPECT_TRUE(mustRun(*Priv.value()).Ok);
-
-  // The same legacy bytes *in memory* can be re-hashed, so they may
-  // join a shared registry under their computed identity.
-  Result<std::unique_ptr<CodeStore>> Mem = CodeStore::tryLoad(Legacy, Shared);
-  ASSERT_TRUE(Mem.ok()) << Mem.error().message();
-
-  // And a v3 container loaded from a file joins on its (trusted) claim,
-  // landing on the same identity as the in-memory load.
   std::vector<uint8_t> V3 = Built->save();
   const std::string V3Path = testing::TempDir() + "ccomp_v3_store.ccpk";
   {
@@ -393,10 +347,22 @@ TEST(SharedStore, LegacyFileContainerRefusedSharedAcceptedPrivate) {
     Out.write(reinterpret_cast<const char *>(V3.data()),
               static_cast<std::streamsize>(V3.size()));
   }
+
+  StoreOptions Shared;
+  Shared.SharedRegistry = std::make_shared<FrameRegistry>();
+  Result<std::unique_ptr<CodeStore>> Mem = CodeStore::tryLoad(V3, Shared);
+  ASSERT_TRUE(Mem.ok()) << Mem.error().message();
+  mustRun(*Mem.value());
+  uint64_t Decodes = Shared.SharedRegistry->stats().Decodes;
+  ASSERT_GT(Decodes, 0u);
+
   Result<std::unique_ptr<CodeStore>> FromFile =
-      CodeStore::tryOpenFile(V3Path, StoreOptions());
+      CodeStore::tryOpenFile(V3Path, Shared);
   ASSERT_TRUE(FromFile.ok()) << FromFile.error().message();
   EXPECT_EQ(FromFile.value()->containerHash(), Built->containerHash());
+  // Same identity, same frames: the file tenant decodes nothing new.
+  mustRun(*FromFile.value());
+  EXPECT_EQ(Shared.SharedRegistry->stats().Decodes, Decodes);
 }
 
 //===----------------------------------------------------------------------===//

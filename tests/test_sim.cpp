@@ -55,14 +55,6 @@ TEST(Transport, LatencyChargedOncePerTransferAndBatchedStreams) {
   }
 }
 
-TEST(Paging, RemoteTotalTimeModel) {
-  // 3s CPU + 0.5s of measured decode; 2s of virtual link time.
-  TotalTime T = remoteTotalTime(3.0, 500000000ull, 2000000000ull);
-  EXPECT_NEAR(T.CpuSeconds, 3.5, 1e-12);
-  EXPECT_NEAR(T.PagingSeconds, 2.0, 1e-12);
-  EXPECT_NEAR(T.total(), 5.5, 1e-12);
-}
-
 TEST(Paging, SequentialFitsInBudget) {
   // 4 pages cycled, 4 frames: only compulsory faults.
   std::vector<uint32_t> Trace;
@@ -114,12 +106,60 @@ TEST(Paging, ZeroBudgetFaultsAlways) {
   EXPECT_EQ(R.Faults, 3u);
 }
 
+namespace {
+
+void expectCost(const CostInputs &In, double Cpu, double Paging,
+                const char *What) {
+  TotalTime T = totalTime(In);
+  EXPECT_NEAR(T.CpuSeconds, Cpu, 1e-12) << What;
+  EXPECT_NEAR(T.PagingSeconds, Paging, 1e-12) << What;
+  EXPECT_NEAR(T.total(), Cpu + Paging, 1e-12) << What;
+}
+
+} // namespace
+
+// One cost function serves every configuration; each fills only the
+// terms it pays. Default models: 12 ms per fault, 2 MB/s transfer,
+// 2.5 MB/s of compiled code.
 TEST(Paging, TotalTimeModel) {
-  PagingResult P;
-  P.Faults = 10;
+  // Disk paging: CPU plus a seek per simulated fault.
+  expectCost({2.0, 10}, 2.0, 0.12, "disk-only");
+  // A store whose decodes ran outside the timed CPU.
+  expectCost({.CpuSeconds = 1.5, .Faults = 40, .DecodeNanos = 250000000},
+             1.75, 0.48, "store");
+  // Page granularity: the read size varies, so transfer is a term.
+  expectCost({.CpuSeconds = 1.0,
+              .Faults = 100,
+              .FetchedBytes = 500000,
+              .DecodeNanos = 100000000},
+             1.1, 1.2 + 0.25, "paged store with transfer");
+  // Remote: the virtual link clock replaces the disk.
+  expectCost({.CpuSeconds = 3.0,
+              .FetchVirtualNanos = 2000000000,
+              .DecodeNanos = 500000000},
+             3.5, 2.0, "remote");
+  // Shared registry: each registry-global decode is one fault.
+  expectCost({.CpuSeconds = 0.8, .Faults = 25, .DecodeNanos = 200000000},
+             1.0, 0.3, "shared");
+  // Tiered: the paged-store terms plus the compile charge.
+  expectCost({.CpuSeconds = 0.5,
+              .Faults = 10,
+              .FetchedBytes = 200000,
+              .DecodeNanos = 100000000,
+              .CompiledBytes = 1250000},
+             0.5 + 0.1 + 0.5, 0.12 + 0.1, "tiered");
+
+  // The models scale their terms and nothing else.
   DiskModel D;
-  TotalTime T = totalTime(2.0, P, D);
-  EXPECT_NEAR(T.CpuSeconds, 2.0, 1e-12);
-  EXPECT_NEAR(T.PagingSeconds, 10 * D.FaultSeconds, 1e-12);
-  EXPECT_NEAR(T.total(), 2.0 + 10 * D.FaultSeconds, 1e-12);
+  D.FaultSeconds = 0.001;
+  D.TransferBytesPerSecond = 1e6;
+  JitModel J;
+  J.BytesPerSecond = 1e6;
+  TotalTime T = totalTime({.CpuSeconds = 1.0,
+                           .Faults = 3,
+                           .FetchedBytes = 2000000,
+                           .CompiledBytes = 500000},
+                          D, J);
+  EXPECT_NEAR(T.CpuSeconds, 1.5, 1e-12);
+  EXPECT_NEAR(T.PagingSeconds, 0.003 + 2.0, 1e-12);
 }

@@ -21,6 +21,7 @@
 #include "store/CodeStore.h"
 #include "store/Resolver.h"
 #include "store/Tiered.h"
+#include "support/ThreadPool.h"
 
 #include "gtest/gtest.h"
 
@@ -248,23 +249,59 @@ TEST(Tiered, ResetTierStatsPreservesGauges) {
   EXPECT_EQ(After.ResidentBytes, Before.ResidentBytes);
 }
 
-// Disabled tiering falls back to pure interpretation through the same
-// resolver object.
-TEST(Tiered, DisabledTierInterprets) {
-  vm::VMProgram P = buildVM(syntheticSource(6));
-  vm::RunResult Eager = vm::runProgram(P);
-  ASSERT_TRUE(Eager.Ok) << Eager.Trap;
+// Tiering and predictive prefetch compose: a TieredResolver with a
+// prefetch pool warms predicted successors on the faults the
+// interpreter still takes, while hot functions compile and run native.
+// Prefetch warms race the compile path's own faults on the pool's
+// threads, so the tsan preset runs this too. In the second program
+// main's one page calls `cold`, which never runs: the warm of its page
+// is the only fault it ever sees, so PrefetchDecodes > 0 whatever the
+// interleaving.
+TEST(Tiered, PrefetchPoolComposesWithTier) {
+  const std::string ColdCall = R"(
+    int cold(int x) { print_int(x * 3); return x; }
+    int hot(int x) { return x + 1; }
+    int main(void) {
+      int i; int s;
+      s = 0;
+      for (i = 0; i < 64; i++) s = hot(s);
+      if (s < 0) s = cold(s);
+      print_int(s);
+      return 0;
+    })";
+  const struct {
+    std::string Src;
+    size_t PageTarget;
+  } Cases[] = {{syntheticSource(10), 64}, {ColdCall, 4096}};
+  for (const auto &C : Cases) {
+    vm::VMProgram P = buildVM(C.Src);
+    vm::RunResult Eager = vm::runProgram(P);
+    ASSERT_TRUE(Eager.Ok) << Eager.Trap;
 
-  std::unique_ptr<CodeStore> S = mustBuildStore(P, "flate", StoreOptions());
-  ASSERT_NE(S, nullptr);
-  TierOptions TO;
-  TO.Enabled = false;
-  TO.HotThreshold = 0;
-  TierStats TS;
-  vm::RunResult R = runTieredFromStore(*S, TO, {}, &TS);
-  expectSameRun(R, Eager, "disabled");
-  EXPECT_EQ(TS.Compiles, 0u);
-  EXPECT_EQ(TS.NativeEnters, 0u);
+    StoreOptions SO;
+    SO.PageTargetBytes = C.PageTarget;
+    std::unique_ptr<CodeStore> S = mustBuildStore(P, "brisc+flate", SO);
+    ASSERT_NE(S, nullptr);
+    ASSERT_TRUE(S->paged());
+
+    ThreadPool Pool(2);
+    TierOptions TO;
+    TO.HotThreshold = 2;
+    TieredResolver Rv(*S, TO, &Pool);
+    for (int Rep = 0; Rep != 2; ++Rep) {
+      vm::RunOptions O;
+      O.Resolver = &Rv;
+      vm::Machine M(S->skeleton(), O);
+      vm::RunResult R = M.run();
+      Pool.wait();
+      expectSameRun(R, Eager, "page target " + std::to_string(C.PageTarget) +
+                                  " rep " + std::to_string(Rep));
+    }
+    EXPECT_GT(Rv.tierStats().Compiles, 0u) << C.PageTarget;
+    EXPECT_GT(Rv.tierStats().NativeSteps, 0u) << C.PageTarget;
+    if (C.Src == ColdCall)
+      EXPECT_GT(S->stats().PrefetchDecodes, 0u);
+  }
 }
 
 // The race the issue calls out: 8 threads enter hot functions through
