@@ -221,7 +221,6 @@ int main(int Argc, char **Argv) {
       uint64_t SimFaults = sim::simulateLRU(FR.PageTrace, Resident).Faults;
 
       store::StoreOptions SO;
-      SO.Shards = 1; // One LRU list, same policy shape as the simulator.
       SO.CacheBudgetBytes = Resident * MeanCost;
       Result<std::unique_ptr<store::CodeStore>> L =
           store::CodeStore::tryLoad(Image, SO);
@@ -278,7 +277,6 @@ int main(int Argc, char **Argv) {
     hr();
     for (size_t Target : {size_t(64), size_t(256), size_t(4096), size_t(0)}) {
       store::StoreOptions SO;
-      SO.Shards = 1;
       SO.CacheBudgetBytes = SweepBudget;
       SO.PageTargetBytes = Target;
       std::unique_ptr<store::CodeStore> S =
@@ -349,7 +347,6 @@ int main(int Argc, char **Argv) {
     size_t Budget = store::decodedCostBytes(Big);
     auto residentAfterHotLoop = [&](size_t Target) -> uint64_t {
       store::StoreOptions SO;
-      SO.Shards = 1;
       SO.CacheBudgetBytes = Budget;
       SO.PageTargetBytes = Target;
       std::unique_ptr<store::CodeStore> S =
@@ -614,7 +611,6 @@ int main(int Argc, char **Argv) {
     auto measure = [&](const pipeline::ExecutionTrace *Profile, uint64_t &Misses,
                        uint64_t &Resident) {
       store::StoreOptions SO;
-      SO.Shards = 1;
       // A budget that holds everything: Misses counts each distinct
       // page's compulsory fault and ResidentBytes counts every decoded
       // byte the run ever needed — the layout signal, undiluted by

@@ -180,12 +180,12 @@ int main() {
     std::printf("\n");
   }
   std::printf("expected shape: the wire module is far denser than "
-              "per-function frames, so\nwhole-module delivery wins this "
-              "run (it touches most of the program and the\ntight budget "
-              "forces refetches); the store's edge is elsewhere — it "
-              "never\ndownloads untouched functions, starts running "
-              "after one frame, and keeps\nfetch time (virtual) "
-              "separated from decode time (measured) per row\n\n");
+              "per-function frames, so on\nslow links whole-module "
+              "delivery wins even though the store fetches each touched\n"
+              "function once and never downloads untouched ones; on LANs "
+              "the two are close.\nThe store also starts running after "
+              "one frame, and keeps fetch time (virtual)\nseparated from "
+              "decode time (measured) per row\n\n");
 
   // Act 2: the same store over an increasingly unreliable modem.
   const StoreForm &Flaky = Forms[1]; // vm-compact+flate

@@ -17,11 +17,11 @@ using namespace ccomp::store;
 /// only ever calls shutdownBoth() under SockMu to evict it, and the
 /// descriptor is closed by the handler on exit (so a server that
 /// churns thousands of connections never accumulates descriptors).
+/// Only the handler thread bumps the counters; readers snapshot them.
 struct FrameServer::Conn {
   uint64_t Id = 0;
   Socket Sock;
   std::mutex SockMu; ///< Serializes shutdown/close against each other.
-  std::atomic<bool> Open{true};
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Batches{0};
   std::atomic<uint64_t> FramesServed{0};
@@ -29,9 +29,32 @@ struct FrameServer::Conn {
   std::atomic<uint64_t> BytesOut{0};
   std::atomic<uint64_t> FetchErrors{0};
   std::atomic<uint64_t> ProtocolErrors{0};
+
+  ConnectionStats snapshot() const {
+    ConnectionStats S;
+    S.Id = Id;
+    S.Requests = Requests.load(std::memory_order_relaxed);
+    S.Batches = Batches.load(std::memory_order_relaxed);
+    S.FramesServed = FramesServed.load(std::memory_order_relaxed);
+    S.BytesIn = BytesIn.load(std::memory_order_relaxed);
+    S.BytesOut = BytesOut.load(std::memory_order_relaxed);
+    S.FetchErrors = FetchErrors.load(std::memory_order_relaxed);
+    S.ProtocolErrors = ProtocolErrors.load(std::memory_order_relaxed);
+    return S;
+  }
 };
 
 namespace {
+
+void addTo(ServerStats &T, const ConnectionStats &C) {
+  T.Requests += C.Requests;
+  T.Batches += C.Batches;
+  T.FramesServed += C.FramesServed;
+  T.BytesIn += C.BytesIn;
+  T.BytesOut += C.BytesOut;
+  T.FetchErrors += C.FetchErrors;
+  T.ProtocolErrors += C.ProtocolErrors;
+}
 
 /// Outcome of reading one length-prefixed message.
 enum class RecvOutcome { Ok, Closed, TimedOut, Oversized, Error };
@@ -120,19 +143,18 @@ void FrameServer::stop() {
     if (Acceptor.joinable())
       Acceptor.join();
     std::unique_lock<std::mutex> Lk(ConnMu);
-    HandlersDone.wait(Lk, [&] { return ActiveHandlers == 0; });
+    HandlersDone.wait(Lk, [&] { return Conns.empty(); });
     return;
   }
   Listen.close(); // Unblocks the accept poll.
   if (Acceptor.joinable())
     Acceptor.join();
   std::unique_lock<std::mutex> Lk(ConnMu);
-  for (const std::shared_ptr<Conn> &C : Conns)
-    if (C->Open.load(std::memory_order_relaxed)) {
-      std::lock_guard<std::mutex> SL(C->SockMu);
-      C->Sock.shutdownBoth(); // Kicks the handler out of its poll.
-    }
-  HandlersDone.wait(Lk, [&] { return ActiveHandlers == 0; });
+  for (const auto &[Id, C] : Conns) {
+    std::lock_guard<std::mutex> SL(C->SockMu);
+    C->Sock.shutdownBoth(); // Kicks the handler out of its poll.
+  }
+  HandlersDone.wait(Lk, [&] { return Conns.empty(); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -146,23 +168,18 @@ void FrameServer::acceptLoop() {
     Socket S = Listen.accept(/*TimeoutMillis=*/100, Err);
     if (!S.valid())
       continue; // Timeout, shutdown, or a transient accept error.
-    Agg.Accepted.fetch_add(1, std::memory_order_relaxed);
 
     auto C = std::make_shared<Conn>();
     C->Id = NextId++;
     C->Sock = std::move(S);
     {
       std::lock_guard<std::mutex> Lk(ConnMu);
-      unsigned OpenNow = 0;
-      for (const std::shared_ptr<Conn> &E : Conns)
-        if (E->Open.load(std::memory_order_relaxed))
-          ++OpenNow;
-      if (OpenNow >= Opts.MaxConnections) {
-        Agg.Rejected.fetch_add(1, std::memory_order_relaxed);
+      ++Totals.Accepted;
+      if (Conns.size() >= Opts.MaxConnections) {
+        ++Totals.Rejected;
         continue; // C (and its socket) die here: connection refused.
       }
-      Conns.push_back(C);
-      ++ActiveHandlers;
+      Conns.emplace(C->Id, C);
     }
     std::thread([this, C] { serveConnection(C); }).detach();
   }
@@ -179,7 +196,6 @@ bool FrameServer::sendOn(Conn &C, const std::vector<uint8_t> &Msg) {
   if (St != IoStatus::Ok)
     return false;
   C.BytesOut.fetch_add(Msg.size(), std::memory_order_relaxed);
-  Agg.BytesOut.fetch_add(Msg.size(), std::memory_order_relaxed);
   return true;
 }
 
@@ -193,7 +209,6 @@ bool FrameServer::handleMessage(Conn &C, const std::vector<uint8_t> &Payload) {
   Result<Message> MR = tryParseMessage(Payload);
   if (!MR.ok()) {
     C.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-    Agg.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
     (void)sendOn(C, encodeErrorReply(ManifestFrameId, FetchErrorKind::Corrupt,
                                      "protocol: " + MR.error().message()));
     return false; // Framing can't be trusted past a malformed body.
@@ -202,25 +217,19 @@ bool FrameServer::handleMessage(Conn &C, const std::vector<uint8_t> &Payload) {
   switch (M.Type) {
   case MsgType::GetFrame: {
     C.Requests.fetch_add(1, std::memory_order_relaxed);
-    Agg.Requests.fetch_add(1, std::memory_order_relaxed);
     FetchResult R = fetchFor(M.Id);
     if (!R.Ok) {
       C.FetchErrors.fetch_add(1, std::memory_order_relaxed);
-      Agg.FetchErrors.fetch_add(1, std::memory_order_relaxed);
       return sendOn(C, encodeErrorReply(M.Id, R.Err, R.Msg));
     }
     C.FramesServed.fetch_add(1, std::memory_order_relaxed);
-    Agg.FramesServed.fetch_add(1, std::memory_order_relaxed);
     return sendOn(C, encodeFrameData(M.Id, R.Bytes));
   }
   case MsgType::GetBatch: {
     C.Requests.fetch_add(1, std::memory_order_relaxed);
-    Agg.Requests.fetch_add(1, std::memory_order_relaxed);
     C.Batches.fetch_add(1, std::memory_order_relaxed);
-    Agg.Batches.fetch_add(1, std::memory_order_relaxed);
     if (M.Ids.size() > Opts.MaxBatchIds) {
       C.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-      Agg.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
       (void)sendOn(C,
                    encodeErrorReply(ManifestFrameId, FetchErrorKind::Corrupt,
                                     "protocol: batch of " +
@@ -244,17 +253,14 @@ bool FrameServer::handleMessage(Conn &C, const std::vector<uint8_t> &Payload) {
         Budget -= R.Bytes.size();
         E.Bytes = std::move(R.Bytes);
         C.FramesServed.fetch_add(1, std::memory_order_relaxed);
-        Agg.FramesServed.fetch_add(1, std::memory_order_relaxed);
       } else if (R.Ok) {
         E.Err = FetchErrorKind::Io;
         E.Msg = "batch reply budget exhausted; fetch singly";
         C.FetchErrors.fetch_add(1, std::memory_order_relaxed);
-        Agg.FetchErrors.fetch_add(1, std::memory_order_relaxed);
       } else {
         E.Err = R.Err;
         E.Msg = std::move(R.Msg);
         C.FetchErrors.fetch_add(1, std::memory_order_relaxed);
-        Agg.FetchErrors.fetch_add(1, std::memory_order_relaxed);
       }
       Entries.push_back(std::move(E));
     }
@@ -268,7 +274,6 @@ bool FrameServer::handleMessage(Conn &C, const std::vector<uint8_t> &Payload) {
                                    Src->frameBytes()));
   default:
     C.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-    Agg.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
     (void)sendOn(C, encodeErrorReply(ManifestFrameId, FetchErrorKind::Corrupt,
                                      "protocol: unexpected message type on "
                                      "the server side"));
@@ -286,7 +291,6 @@ void FrameServer::serveConnection(std::shared_ptr<Conn> C) {
   bool Live = false;
   if (RO == RecvOutcome::Ok) {
     C->BytesIn.fetch_add(In, std::memory_order_relaxed);
-    Agg.BytesIn.fetch_add(In, std::memory_order_relaxed);
     Result<Message> MR = tryParseMessage(Payload);
     if (MR.ok() && MR.value().Type == MsgType::Hello) {
       Live = sendOn(*C, encodeWelcome(Hash, Src->chainSpec(),
@@ -294,7 +298,6 @@ void FrameServer::serveConnection(std::shared_ptr<Conn> C) {
                                       Src->frameBytes()));
     } else {
       C->ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-      Agg.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
       (void)sendOn(*C,
                    encodeErrorReply(ManifestFrameId, FetchErrorKind::Corrupt,
                                     MR.ok() ? std::string(
@@ -304,7 +307,6 @@ void FrameServer::serveConnection(std::shared_ptr<Conn> C) {
     }
   } else if (RO == RecvOutcome::Oversized) {
     C->ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-    Agg.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
     (void)sendOn(*C, encodeErrorReply(ManifestFrameId,
                                       FetchErrorKind::Corrupt, Err));
   }
@@ -316,14 +318,12 @@ void FrameServer::serveConnection(std::shared_ptr<Conn> C) {
     if (RO != RecvOutcome::Ok) {
       if (RO == RecvOutcome::Oversized) {
         C->ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-        Agg.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
         (void)sendOn(*C, encodeErrorReply(ManifestFrameId,
                                           FetchErrorKind::Corrupt, Err));
       }
       break; // Closed / idle timeout / dead socket: connection over.
     }
     C->BytesIn.fetch_add(In, std::memory_order_relaxed);
-    Agg.BytesIn.fetch_add(In, std::memory_order_relaxed);
     Live = handleMessage(*C, Payload);
   }
 
@@ -331,13 +331,14 @@ void FrameServer::serveConnection(std::shared_ptr<Conn> C) {
     std::lock_guard<std::mutex> SL(C->SockMu);
     C->Sock.close();
   }
-  C->Open.store(false, std::memory_order_relaxed);
   {
-    // Notify under the mutex: stop() may destroy this server the
-    // instant its predicate holds, so the condvar must not be touched
-    // after the lock is released.
+    // Fold this connection into the totals and forget it, so the server
+    // keeps records of live connections only. Notify under the mutex:
+    // stop() may destroy this server the instant its predicate holds,
+    // so the condvar must not be touched after the lock is released.
     std::lock_guard<std::mutex> Lk(ConnMu);
-    --ActiveHandlers;
+    addTo(Totals, C->snapshot());
+    Conns.erase(C->Id);
     HandlersDone.notify_all();
   }
 }
@@ -347,20 +348,11 @@ void FrameServer::serveConnection(std::shared_ptr<Conn> C) {
 //===----------------------------------------------------------------------===//
 
 ServerStats FrameServer::stats() const {
-  ServerStats S;
-  S.Accepted = Agg.Accepted.load(std::memory_order_relaxed);
-  S.Rejected = Agg.Rejected.load(std::memory_order_relaxed);
-  S.Requests = Agg.Requests.load(std::memory_order_relaxed);
-  S.Batches = Agg.Batches.load(std::memory_order_relaxed);
-  S.FramesServed = Agg.FramesServed.load(std::memory_order_relaxed);
-  S.BytesIn = Agg.BytesIn.load(std::memory_order_relaxed);
-  S.BytesOut = Agg.BytesOut.load(std::memory_order_relaxed);
-  S.FetchErrors = Agg.FetchErrors.load(std::memory_order_relaxed);
-  S.ProtocolErrors = Agg.ProtocolErrors.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lk(ConnMu);
-  for (const std::shared_ptr<Conn> &C : Conns)
-    if (C->Open.load(std::memory_order_relaxed))
-      ++S.OpenConnections;
+  ServerStats S = Totals;
+  S.OpenConnections = Conns.size();
+  for (const auto &[Id, C] : Conns)
+    addTo(S, C->snapshot());
   return S;
 }
 
@@ -368,18 +360,7 @@ std::vector<ConnectionStats> FrameServer::connectionStats() const {
   std::lock_guard<std::mutex> Lk(ConnMu);
   std::vector<ConnectionStats> Out;
   Out.reserve(Conns.size());
-  for (const std::shared_ptr<Conn> &C : Conns) {
-    ConnectionStats S;
-    S.Id = C->Id;
-    S.Open = C->Open.load(std::memory_order_relaxed);
-    S.Requests = C->Requests.load(std::memory_order_relaxed);
-    S.Batches = C->Batches.load(std::memory_order_relaxed);
-    S.FramesServed = C->FramesServed.load(std::memory_order_relaxed);
-    S.BytesIn = C->BytesIn.load(std::memory_order_relaxed);
-    S.BytesOut = C->BytesOut.load(std::memory_order_relaxed);
-    S.FetchErrors = C->FetchErrors.load(std::memory_order_relaxed);
-    S.ProtocolErrors = C->ProtocolErrors.load(std::memory_order_relaxed);
-    Out.push_back(S);
-  }
+  for (const auto &[Id, C] : Conns)
+    Out.push_back(C->snapshot());
   return Out;
 }

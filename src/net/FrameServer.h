@@ -30,8 +30,11 @@
 ///
 /// Counters come in two ranks: aggregate ServerStats for the whole
 /// process, and per-connection ConnectionStats (requests, batches,
-/// frames, bytes, errors) so a load harness can see the skew across
-/// hundreds of clients.
+/// frames, bytes, errors) for each live connection, so a load harness
+/// can see the skew across hundreds of clients. A closing connection
+/// folds its counters into the aggregate and is forgotten, so the
+/// server's bookkeeping is bounded by its open connections however
+/// many it has ever accepted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +48,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -67,11 +71,9 @@ struct ServerOptions {
   unsigned MaxConnections = 4096;
 };
 
-/// One connection's lifetime counters (a snapshot; the connection may
-/// still be live).
+/// One live connection's counters so far (a snapshot).
 struct ConnectionStats {
   uint64_t Id = 0;
-  bool Open = false;
   uint64_t Requests = 0;     ///< GetFrame + GetBatch messages.
   uint64_t Batches = 0;      ///< GetBatch messages alone.
   uint64_t FramesServed = 0; ///< Frames delivered (batch entries count each).
@@ -116,7 +118,8 @@ public:
   const store::FrameSource &source() const { return *Src; }
 
   ServerStats stats() const;
-  /// Every connection ever accepted (closed ones keep their counters).
+  /// The open connections, in accept order (closed ones live on only
+  /// in stats()).
   std::vector<ConnectionStats> connectionStats() const;
 
   /// Stops accepting, evicts live connections (their in-flight requests
@@ -142,23 +145,13 @@ private:
   std::thread Acceptor;
   std::atomic<bool> Stopping{false};
 
-  mutable std::mutex ConnMu; ///< Guards Conns and the handler count.
-  std::vector<std::shared_ptr<Conn>> Conns;
-  unsigned ActiveHandlers = 0;
-  std::condition_variable HandlersDone;
-
-  struct Aggregate {
-    std::atomic<uint64_t> Accepted{0};
-    std::atomic<uint64_t> Rejected{0};
-    std::atomic<uint64_t> Requests{0};
-    std::atomic<uint64_t> Batches{0};
-    std::atomic<uint64_t> FramesServed{0};
-    std::atomic<uint64_t> BytesIn{0};
-    std::atomic<uint64_t> BytesOut{0};
-    std::atomic<uint64_t> FetchErrors{0};
-    std::atomic<uint64_t> ProtocolErrors{0};
-  };
-  mutable Aggregate Agg;
+  mutable std::mutex ConnMu; ///< Guards Conns and Totals.
+  /// Live connections by id; each has exactly one running handler.
+  std::map<uint64_t, std::shared_ptr<Conn>> Conns;
+  /// Accept and reject counts plus the folded counters of every closed
+  /// connection (OpenConnections unused).
+  ServerStats Totals;
+  std::condition_variable HandlersDone; ///< Signaled as Conns shrinks.
 };
 
 } // namespace net

@@ -81,9 +81,6 @@ Result<bool> CodeStore::initRuntime(StoreOptions O) {
   } else {
     RegistryOptions RO;
     RO.CacheBudgetBytes = O.CacheBudgetBytes;
-    unsigned N = std::max(1u, O.Shards);
-    N = std::min<unsigned>(N, std::max<uint32_t>(1, frameCount()));
-    RO.Shards = N;
     Reg = std::make_shared<FrameRegistry>(RO);
     PrivateReg = true;
   }
@@ -100,6 +97,9 @@ Result<bool> CodeStore::initRuntime(StoreOptions O) {
     return H.error();
   Heat = H.take();
   PinnedByMe.assign(frameCount(), 0);
+  Warming = std::make_unique<std::atomic<uint8_t>[]>(frameCount());
+  for (uint32_t I = 0; I != frameCount(); ++I)
+    Warming[I].store(0, std::memory_order_relaxed);
   return true;
 }
 
@@ -728,8 +728,8 @@ CodeStore::FaultOutcome CodeStore::faultImpl(uint32_t Id, bool Pin,
 
   // Pinning fault: PinMu serializes this tenant's pin bookkeeping so
   // two threads pinning the same frame take exactly one registry
-  // reference. Lock order is always tenant PinMu -> registry shard
-  // locks, never the reverse.
+  // reference. Lock order is always tenant PinMu -> registry cache
+  // lock, never the reverse.
   std::lock_guard<std::mutex> L(PinMu);
   FaultOutcome Out =
       registryFault(Id, /*Pin=*/true, PinnedByMe[Id] != 0, Prefetch);
@@ -845,6 +845,8 @@ void CodeStore::warmFrames(const std::vector<uint32_t> &Frames,
   // transport's one-round-trip coalescing.
   if (Frames.empty())
     return;
+  for (uint32_t Id : Frames)
+    Warming[Id].store(1, std::memory_order_relaxed);
   Source->prefetchHint(Frames);
   for (uint32_t Id : Frames)
     Pool.submit([this, Id] {
@@ -854,6 +856,9 @@ void CodeStore::warmFrames(const std::vector<uint32_t> &Frames,
         // Pool jobs must not throw; failures are already counted in
         // DecodeErrors by the fault path.
       }
+      // Released only after the frame landed, so warmedOrResident never
+      // sees a warmed frame as neither.
+      Warming[Id].store(0, std::memory_order_release);
     });
 }
 
@@ -863,13 +868,13 @@ void CodeStore::prefetch(const std::vector<uint32_t> &Ids, ThreadPool &Pool) {
     if (Id >= Funcs.size())
       continue;
     if (!Paged) {
-      if (!entryResident(Id))
+      if (!warmedOrResident(Id))
         Want.push_back(Id);
       continue;
     }
     const FuncRecord &Rec = Funcs[Id];
     for (uint32_t K = 0; K != Rec.Pages.size(); ++K)
-      if (!entryResident(Rec.FirstPage + K))
+      if (!warmedOrResident(Rec.FirstPage + K))
         Want.push_back(Rec.FirstPage + K);
   }
   warmFrames(clampToAdmission(std::move(Want)), Pool);
@@ -1029,11 +1034,12 @@ void CodeStore::prefetchPredicted(uint32_t Fn, uint32_t Idx,
   if (Fn >= Funcs.size())
     return;
   // Walk the whole ranked list and keep the first DefaultPredictions
-  // frames that are NOT already resident: as earlier predictions land,
-  // later faults advance down the list instead of re-predicting them.
+  // frames that are neither resident nor already being warmed: as
+  // earlier predictions land, later faults advance down the list
+  // instead of re-predicting them.
   std::vector<uint32_t> Want;
   for (uint32_t Id : predictedSuccessors(frameOf(Fn, Idx), ~0u)) {
-    if (entryResident(Id))
+    if (warmedOrResident(Id))
       continue;
     Want.push_back(Id);
     if (Want.size() == DefaultPredictions)
@@ -1044,6 +1050,12 @@ void CodeStore::prefetchPredicted(uint32_t Fn, uint32_t Idx,
 
 bool CodeStore::entryResident(uint32_t Id) const {
   return Reg->resident(keyOf(Id));
+}
+
+bool CodeStore::warmedOrResident(uint32_t Id) const {
+  // The flag first: a warm clears it only after its frame is resident,
+  // so in this order a warmed frame is always seen as one or the other.
+  return Warming[Id].load(std::memory_order_acquire) || entryResident(Id);
 }
 
 bool CodeStore::isResident(uint32_t Id) const {

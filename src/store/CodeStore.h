@@ -14,7 +14,7 @@
 ///
 /// Architecture. A CodeStore is a per-tenant *view* over a
 /// store::FrameRegistry (store/FrameRegistry.h), which owns the cache
-/// proper: a sharded, byte-budgeted, pin-aware LRU of decoded bodies
+/// proper: one byte-budgeted, pin-aware LRU of decoded bodies
 /// with single-flight dedup, keyed by (container content hash, frame
 /// id). By default each store constructs a private registry sized from
 /// its StoreOptions — single-tenant behavior, indistinguishable from a
@@ -121,15 +121,13 @@ namespace store {
 
 /// Store construction knobs.
 struct StoreOptions {
-  /// Total decoded-bytes budget for the store's *private* registry,
-  /// split across shards (remainder bytes go one each to the first
-  /// shards, so the shard budgets always sum to this value). The budget
-  /// is a target, not a hard cap: the entry faulted in most recently is
-  /// never evicted, so any budget >= 1 frame still executes. Ignored —
-  /// along with Shards — when SharedRegistry is set: a shared registry
+  /// Total decoded-bytes budget for the store's *private* registry, held
+  /// by one LRU. The budget is a target, not a hard cap: the entry
+  /// faulted in most recently is never evicted, so any budget >= 1
+  /// frame still executes, and a budget that holds every frame never
+  /// evicts. Ignored when SharedRegistry is set: a shared registry
   /// brings its own RegistryOptions.
   size_t CacheBudgetBytes = 1u << 20;
-  unsigned Shards = 8; ///< Clamped to [1, frame count] (private registry).
   unsigned BuildJobs = 1; ///< Compression fan-out in build().
   /// build() only: when nonzero, split functions at basic-block
   /// boundaries into pages of at most this many fixed-width code bytes
@@ -345,7 +343,8 @@ public:
   /// Warms \p Ids (function ids; all their pages when paged) through
   /// \p Pool; call Pool.wait() to block until done. Prefetch warms are
   /// accounted as PrefetchDecodes, never as demand Hits/Misses. Decode
-  /// failures are absorbed into the DecodeErrors counter. The wave is
+  /// failures are absorbed into the DecodeErrors counter. Frames that
+  /// are resident or already being warmed are skipped. The wave is
   /// clamped to what cache admission would accept (clampToAdmission):
   /// frames past the decode budget are neither hinted to the source nor
   /// warmed, so a tiny budget cannot be tricked into fetching bytes it
@@ -383,7 +382,8 @@ public:
   /// Targeted prefetch: warms the predicted successors of the frame
   /// serving (\p Fn, \p Idx) — one admission-clamped prefetchHint batch
   /// plus pool warms — instead of warming everything. No-op when
-  /// nothing is predicted or everything predicted is resident.
+  /// nothing is predicted or everything predicted is resident or
+  /// already being warmed.
   void prefetchPredicted(uint32_t Fn, uint32_t Idx, ThreadPool &Pool);
 
   /// Decoded-bytes estimate for one frame before decoding it: exact for
@@ -450,12 +450,16 @@ private:
   FaultOutcome decodeFrame(uint32_t Id, FetchMetrics &M);
   void unpinEntry(uint32_t Id);
   bool entryResident(uint32_t Id) const;
+  /// True when frame \p Id needs no warm: it is resident, or a warm of
+  /// it is already under way.
+  bool warmedOrResident(uint32_t Id) const;
   FrameKey keyOf(uint32_t Id) const { return FrameKey{Hash, Id}; }
   /// The no-trace fallback graph: next-page edges, plus call edges from
   /// \p P's code when building (null when loading a container).
   void initStaticSuccessors(const vm::VMProgram *P);
   /// Hints \p Frames to the source and warms each through \p Pool; the
-  /// caller has already filtered residency and clamped to admission.
+  /// caller has already filtered warmedOrResident and clamped to
+  /// admission.
   void warmFrames(const std::vector<uint32_t> &Frames, ThreadPool &Pool);
 
   /// One page's manifest entry: which slice of the function it holds,
@@ -485,9 +489,8 @@ private:
 
   /// This tenant's traffic counters. Relaxed atomics: each counter is
   /// independently monotonic, and stats() takes an approximate-but-
-  /// monotone snapshot — the per-shard-lock consistency the old
-  /// embedded cache provided mattered only because gauges and counters
-  /// shared storage, which they no longer do.
+  /// monotone snapshot; no gauge shares their storage, so no lock is
+  /// needed for consistency.
   struct TenantCounters {
     std::atomic<uint64_t> Hits{0};
     std::atomic<uint64_t> Misses{0};
@@ -540,6 +543,13 @@ private:
   /// registry reference.
   mutable std::mutex PinMu;
   std::vector<uint8_t> PinnedByMe;
+
+  /// Per-frame "a warm is under way" flags, set by warmFrames before it
+  /// hints the source and cleared by the pool job once its fault is
+  /// done. A hinted frame moves from the source's staging area into the
+  /// cache inside that window, where it is neither staged nor resident;
+  /// the flag keeps it from being predicted, hinted and fetched again.
+  std::unique_ptr<std::atomic<uint8_t>[]> Warming;
 };
 
 /// Decoded in-memory footprint we charge the cache for one function (or

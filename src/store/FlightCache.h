@@ -1,4 +1,4 @@
-//===- store/FlightCache.h - Sharded LRU + single-flight cache --*- C++ -*-===//
+//===- store/FlightCache.h - Byte-budgeted LRU + single-flight --*- C++ -*-===//
 //
 // Part of the ccomp project (PLDI'97 "Code Compression" reproduction).
 //
@@ -13,10 +13,11 @@
 /// machinery extracted once, parameterized over the key and the cached
 /// value:
 ///
-///   - sharded: the byte budget is split across shards with the
-///     remainder distributed one byte each to the first shards, so the
-///     shard budgets always sum to the configured total and faults on
-///     different shards never contend;
+///   - one LRU under one byte budget: a single mutex guards one map,
+///     one recency list and one resident-bytes total, so resident bytes
+///     stay at or under the budget except for the entry faulted in most
+///     recently (and any pinned entries). A budget that holds the whole
+///     working set never evicts;
 ///   - single-flight: N callers faulting the same key run the compute
 ///     callback exactly once — one leader computes outside the lock,
 ///     the rest block on a shared_future and observe the same outcome
@@ -53,7 +54,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 namespace ccomp {
 namespace store {
@@ -69,7 +69,7 @@ struct FlightCounters {
   uint64_t PinnedEntries = 0; ///< Entries with at least one pin.
 };
 
-/// A byte-budgeted, sharded, pin-aware LRU with single-flight compute
+/// A byte-budgeted, pin-aware LRU with single-flight compute
 /// dedup. Thread-safe. \p Value must be cheap to copy (a shared_ptr in
 /// both existing users).
 template <typename Key, typename Value, typename Hasher = std::hash<Key>>
@@ -93,18 +93,8 @@ public:
     bool Declined = false;  ///< The admission gate said no; nothing ran.
   };
 
-  FlightCache(size_t BudgetBytes, unsigned NumShards, CostFn Cost)
-      : Cost(std::move(Cost)), Shards(std::max(1u, NumShards)) {
-    // Split the budget so the shard budgets sum to exactly the
-    // configured bytes: budget/N each, remainder spread one byte per
-    // shard. (A plain budget/N truncates — a 7-byte budget over 4
-    // shards would silently serve only 4 bytes of capacity.)
-    size_t N = Shards.size();
-    size_t Base = BudgetBytes / N;
-    size_t Rem = BudgetBytes % N;
-    for (size_t I = 0; I != N; ++I)
-      Shards[I].Budget = Base + (I < Rem ? 1 : 0);
-  }
+  FlightCache(size_t BudgetBytes, CostFn Cost)
+      : Cost(std::move(Cost)), Budget(BudgetBytes) {}
 
   /// Returns the cached value for \p K, computing it via \p Fn at most
   /// once across concurrent callers. \p AddPin requests a pin on the
@@ -114,23 +104,22 @@ public:
   /// fault (Info.Declined) without computing.
   Outcome fault(const Key &K, bool AddPin, bool Held, const Compute &Fn,
                 Info &I, const Gate &G = Gate()) {
-    Shard &Sh = shardOf(K);
     for (;;) {
       std::shared_future<Outcome> Wait;
       std::promise<Outcome> Pr;
       {
-        std::lock_guard<std::mutex> L(Sh.Mu);
-        auto It = Sh.Map.find(K);
-        if (It != Sh.Map.end()) {
-          Sh.Lru.splice(Sh.Lru.begin(), Sh.Lru, It->second.LruIt);
+        std::lock_guard<std::mutex> L(Mu);
+        auto It = Map.find(K);
+        if (It != Map.end()) {
+          Lru.splice(Lru.begin(), Lru, It->second.LruIt);
           ++I.Hits;
           if (AddPin && !Held && It->second.PinCount++ == 0)
-            ++Sh.C.PinnedEntries;
+            ++C.PinnedEntries;
           return Outcome(It->second.Val);
         }
         ++I.Misses;
-        auto FIt = Sh.InFlight.find(K);
-        if (FIt != Sh.InFlight.end()) {
+        auto FIt = InFlight.find(K);
+        if (FIt != InFlight.end()) {
           ++I.Waits;
           Wait = FIt->second;
         } else {
@@ -138,7 +127,7 @@ public:
             I.Declined = true;
             return Outcome(DecodeError("cache: admission gate declined"));
           }
-          Sh.InFlight.emplace(K, Pr.get_future().share());
+          InFlight.emplace(K, Pr.get_future().share());
         }
       }
       if (Wait.valid()) {
@@ -158,23 +147,23 @@ public:
         }
       }();
       {
-        std::lock_guard<std::mutex> L(Sh.Mu);
-        Sh.InFlight.erase(K);
+        std::lock_guard<std::mutex> L(Mu);
+        InFlight.erase(K);
         if (Out.ok()) {
-          size_t C = Cost(Out.value());
-          auto [MIt, Inserted] = Sh.Map.emplace(K, Entry());
+          size_t Bytes = Cost(Out.value());
+          auto [MIt, Inserted] = Map.emplace(K, Entry());
           (void)Inserted; // InFlight excluded any concurrent compute of K.
           MIt->second.Val = Out.value();
-          MIt->second.Cost = C;
-          Sh.Lru.push_front(K);
-          MIt->second.LruIt = Sh.Lru.begin();
-          Sh.C.ResidentBytes += C;
-          ++Sh.C.ResidentEntries;
+          MIt->second.Cost = Bytes;
+          Lru.push_front(K);
+          MIt->second.LruIt = Lru.begin();
+          C.ResidentBytes += Bytes;
+          ++C.ResidentEntries;
           if (AddPin) {
             MIt->second.PinCount = 1;
-            ++Sh.C.PinnedEntries;
+            ++C.PinnedEntries;
           }
-          evictOver(Sh, K);
+          evictOver(K);
         }
       }
       Pr.set_value(Out);
@@ -184,57 +173,32 @@ public:
 
   /// Releases one pin on \p K; a no-op when \p K holds none.
   void unpin(const Key &K) {
-    Shard &Sh = shardOf(K);
-    std::lock_guard<std::mutex> L(Sh.Mu);
-    auto It = Sh.Map.find(K);
-    if (It == Sh.Map.end() || It->second.PinCount == 0)
+    std::lock_guard<std::mutex> L(Mu);
+    auto It = Map.find(K);
+    if (It == Map.end() || It->second.PinCount == 0)
       return;
     if (--It->second.PinCount == 0)
-      --Sh.C.PinnedEntries;
+      --C.PinnedEntries;
   }
 
   /// True if \p K is resident right now (no LRU effect).
   bool resident(const Key &K) const {
-    const Shard &Sh = shardOf(K);
-    std::lock_guard<std::mutex> L(Sh.Mu);
-    return Sh.Map.count(K) != 0;
+    std::lock_guard<std::mutex> L(Mu);
+    return Map.count(K) != 0;
   }
 
-  /// Consistent totals across all shards (locks every shard, in index
-  /// order).
   FlightCounters counters() const {
-    std::vector<std::unique_lock<std::mutex>> Locks;
-    Locks.reserve(Shards.size());
-    for (const Shard &Sh : Shards)
-      Locks.emplace_back(Sh.Mu);
-    FlightCounters T;
-    for (const Shard &Sh : Shards) {
-      T.Evictions += Sh.C.Evictions;
-      T.ResidentBytes += Sh.C.ResidentBytes;
-      T.ResidentEntries += Sh.C.ResidentEntries;
-      T.PinnedEntries += Sh.C.PinnedEntries;
-    }
-    return T;
+    std::lock_guard<std::mutex> L(Mu);
+    return C;
   }
 
   /// Zeroes the monotonic eviction counter; gauges are preserved.
   void resetCounters() {
-    for (Shard &Sh : Shards) {
-      std::lock_guard<std::mutex> L(Sh.Mu);
-      Sh.C.Evictions = 0;
-    }
+    std::lock_guard<std::mutex> L(Mu);
+    C.Evictions = 0;
   }
 
-  /// Effective capacity: the sum of all shard budgets. Always equals
-  /// the configured budget.
-  size_t budgetBytes() const {
-    size_t Total = 0;
-    for (const Shard &Sh : Shards)
-      Total += Sh.Budget;
-    return Total;
-  }
-
-  unsigned shardCount() const { return static_cast<unsigned>(Shards.size()); }
+  size_t budgetBytes() const { return Budget; }
 
 private:
   struct Entry {
@@ -244,47 +208,37 @@ private:
     typename std::list<Key>::iterator LruIt;
   };
 
-  struct Shard {
-    mutable std::mutex Mu;
-    std::unordered_map<Key, Entry, Hasher> Map;
-    std::list<Key> Lru; ///< Front = most recently used.
-    std::unordered_map<Key, std::shared_future<Outcome>, Hasher> InFlight;
-    FlightCounters C; ///< Guarded by Mu.
-    size_t Budget = 0;
-  };
-
-  Shard &shardOf(const Key &K) {
-    return Shards[Hasher()(K) % Shards.size()];
-  }
-  const Shard &shardOf(const Key &K) const {
-    return Shards[Hasher()(K) % Shards.size()];
-  }
-
   /// Evicts from the cold end until under budget. The entry faulted in
   /// most recently (\p Keep) is never a victim, so a budget smaller
   /// than one entry still serves; pinned entries are skipped.
-  void evictOver(Shard &Sh, const Key &Keep) {
-    while (Sh.C.ResidentBytes > Sh.Budget && Sh.Map.size() > 1) {
-      auto VictimIt = Sh.Lru.end();
-      for (auto R = Sh.Lru.rbegin(); R != Sh.Lru.rend(); ++R) {
-        if (*R == Keep || Sh.Map.find(*R)->second.PinCount > 0)
+  void evictOver(const Key &Keep) {
+    while (C.ResidentBytes > Budget && Map.size() > 1) {
+      auto VictimIt = Lru.end();
+      for (auto R = Lru.rbegin(); R != Lru.rend(); ++R) {
+        if (*R == Keep || Map.find(*R)->second.PinCount > 0)
           continue;
         VictimIt = std::prev(R.base());
         break;
       }
-      if (VictimIt == Sh.Lru.end())
+      if (VictimIt == Lru.end())
         return; // Everything else is pinned; stay over budget.
-      auto MIt = Sh.Map.find(*VictimIt);
-      Sh.C.ResidentBytes -= MIt->second.Cost;
-      --Sh.C.ResidentEntries;
-      Sh.Map.erase(MIt);
-      Sh.Lru.erase(VictimIt);
-      ++Sh.C.Evictions;
+      auto MIt = Map.find(*VictimIt);
+      C.ResidentBytes -= MIt->second.Cost;
+      --C.ResidentEntries;
+      Map.erase(MIt);
+      Lru.erase(VictimIt);
+      ++C.Evictions;
     }
   }
 
-  CostFn Cost;
-  std::vector<Shard> Shards;
+  const CostFn Cost;
+  const size_t Budget;
+  // Everything below is guarded by Mu.
+  mutable std::mutex Mu;
+  std::unordered_map<Key, Entry, Hasher> Map;
+  std::list<Key> Lru; ///< Front = most recently used.
+  std::unordered_map<Key, std::shared_future<Outcome>, Hasher> InFlight;
+  FlightCounters C;
 };
 
 } // namespace store

@@ -37,7 +37,7 @@ ModuleHeat::ModuleHeat(ModuleIdent Ident) : Id(std::move(Ident)) {
 }
 
 FrameRegistry::FrameRegistry(RegistryOptions O)
-    : Opts(O), C(O.CacheBudgetBytes, std::max(1u, O.Shards),
+    : Opts(O), C(O.CacheBudgetBytes,
                  [](const Body &B) { return decodedCostBytes(*B); }) {}
 
 Result<std::shared_ptr<ModuleHeat>>

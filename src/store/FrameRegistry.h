@@ -16,7 +16,7 @@
 ///
 /// Division of labor with CodeStore:
 ///   - the registry owns what is inherently per-module-content or
-///     process-global: the FlightCache of decoded bodies (sharded
+///     process-global: the FlightCache of decoded bodies (one
 ///     byte-budgeted pin-aware LRU + single-flight), decode execution
 ///     counters (Decodes, DecodeNanos, DecodedBytes, evictions), and
 ///     the per-module heat tables (demand-touch counters gate the
@@ -71,14 +71,12 @@ namespace store {
 
 /// Registry construction knobs. These govern the *process-wide* cache;
 /// a CodeStore joining a shared registry brings its own FrameSource and
-/// RetryPolicy but inherits the registry's budget and sharding.
+/// RetryPolicy but inherits the registry's budget.
 struct RegistryOptions {
-  /// Total decoded-bytes budget across every tenant and module, split
-  /// over shards with the remainder distributed (the shard budgets
-  /// always sum to this value). A target, not a hard cap: the entry
-  /// faulted in most recently is never evicted.
+  /// Total decoded-bytes budget across every tenant and module, held by
+  /// one LRU. A target, not a hard cap: the entry faulted in most
+  /// recently (and any pinned entry) is never evicted.
   size_t CacheBudgetBytes = 1u << 20;
-  unsigned Shards = 8; ///< Clamped to >= 1.
 };
 
 /// Registry-global counters and gauges. Decode counters are
@@ -212,7 +210,7 @@ public:
   /// Zeroes the monotonic counters; gauges and heat tables survive.
   void resetStats();
 
-  /// Effective capacity (sum of shard budgets == configured budget).
+  /// The configured byte budget.
   size_t cacheBudgetBytes() const { return C.budgetBytes(); }
 
   const RegistryOptions &options() const { return Opts; }

@@ -25,7 +25,7 @@ uint64_t nowNanos() {
 TieredResolver::TieredResolver(CodeStore &S, TierOptions Opts,
                                ThreadPool *Prefetch)
     : StoreBackedResolver(S, Prefetch), TO(Opts),
-      Units(Opts.CompiledBudgetBytes, /*NumShards=*/1,
+      Units(Opts.CompiledBudgetBytes,
             [](const UnitPtr &U) { return U->codeBytes(); }) {}
 
 TieredResolver::~TieredResolver() = default;

@@ -17,8 +17,8 @@
 ///
 /// Compiled units live in their own pin-aware LRU cache beside the
 /// decode cache — the same store::FlightCache engine the FrameRegistry
-/// runs on, instantiated over (function id -> compiled unit) with one
-/// shard: byte-budgeted, single-flighted (N threads racing a hot
+/// runs on, instantiated over (function id -> compiled unit):
+/// byte-budgeted, single-flighted (N threads racing a hot
 /// function produce exactly one compile), with pinCompiled/unpinCompiled
 /// mirroring the decode cache's pin semantics and the hotness gate
 /// expressed as the cache's admission gate (consulted only when a call
@@ -127,8 +127,8 @@ private:
   Result<UnitPtr> compileUnit(uint32_t Fn);
 
   TierOptions TO;
-  /// The compiled-unit cache: one shard (compiles are rare and long;
-  /// shard fan-out buys nothing), pins always honored.
+  /// The compiled-unit cache: one LRU under CompiledBudgetBytes, pins
+  /// always honored.
   Cache Units;
 
   // Monotonic counters, accumulated relaxed (see TierStats).

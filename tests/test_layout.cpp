@@ -344,7 +344,6 @@ TEST(Layout, PrefetchClampsToAdmissionOnTinyBudget) {
   std::vector<uint32_t> All;
 
   StoreOptions Tiny;
-  Tiny.Shards = 1;
   Tiny.PageTargetBytes = 64;
   Tiny.CacheBudgetBytes = 1;
   std::unique_ptr<CodeStore> S = mustBuildStore(P, "flate", Tiny);

@@ -437,7 +437,6 @@ TEST(NetStore, PredictivePrefetchClampsOnTinyBudget) {
   ASSERT_NE(Sock, nullptr);
 
   StoreOptions Opts;
-  Opts.Shards = 1;
   Opts.CacheBudgetBytes = 1;
   Opts.Retry.RealTime = true;
   Result<std::unique_ptr<CodeStore>> St =
@@ -983,6 +982,40 @@ TEST(NetStore, ConcurrentClientsAllMatchTheEagerRun) {
   EXPECT_EQ(SS.Accepted, NumClients);
   EXPECT_EQ(SS.ProtocolErrors, 0u);
   EXPECT_GE(SS.FramesServed, uint64_t(NumClients));
+}
+
+// A long-lived server keeps records of its live connections only: a
+// closed connection folds its counters into stats() and is forgotten,
+// so thousands of connect/handshake/close cycles leave no per-connection
+// residue, while the aggregate still counts every one of them.
+TEST(NetStore, ClosedConnectionsLeaveNoRecords) {
+  vm::VMProgram P = buildVM(syntheticSource(4));
+  std::vector<uint8_t> Image = buildImage(P, "flate");
+  std::unique_ptr<net::FrameServer> Server = startServer(Image);
+  ASSERT_NE(Server, nullptr);
+
+  constexpr unsigned Cycles = 5000;
+  for (unsigned I = 0; I != Cycles; ++I) {
+    std::unique_ptr<net::SocketFrameSource> Sock =
+        connectClient(Server->port());
+    ASSERT_NE(Sock, nullptr) << "cycle " << I;
+  }
+
+  // Handlers notice the close asynchronously; give them a deadline, not
+  // a timing bar.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (Server->stats().OpenConnections != 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  net::ServerStats SS = Server->stats();
+  EXPECT_EQ(SS.OpenConnections, 0u);
+  EXPECT_EQ(Server->connectionStats().size(), 0u);
+  EXPECT_EQ(SS.Accepted, Cycles);
+  EXPECT_EQ(SS.Rejected, 0u);
+  EXPECT_EQ(SS.ProtocolErrors, 0u);
+  EXPECT_EQ(SS.BytesIn, uint64_t(Cycles) * net::encodeHello().size())
+      << "closed connections' counters survive in the aggregate";
 }
 
 } // namespace

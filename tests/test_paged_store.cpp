@@ -207,7 +207,6 @@ TEST(PagedStore, SaveLoadRoundTripKeepsPageGranularity) {
 TEST(PagedStore, FaultSpanServesOnePageAndClamps) {
   vm::VMProgram P = buildVM(syntheticSource(8));
   StoreOptions Opts;
-  Opts.Shards = 1;
   Opts.PageTargetBytes = 64;
   std::unique_ptr<CodeStore> S = mustBuildStore(P, "flate", Opts);
   ASSERT_NE(S, nullptr);
@@ -247,7 +246,6 @@ TEST(PagedStore, PinnedPagesSurviveEviction) {
   vm::VMProgram P = buildVM(syntheticSource(8));
   ASSERT_GE(P.Functions.size(), 4u);
   StoreOptions Opts;
-  Opts.Shards = 1;
   Opts.CacheBudgetBytes = 1; // Every insertion is over budget.
   Opts.PageTargetBytes = 64;
   std::unique_ptr<CodeStore> S = mustBuildStore(P, "vm-compact", Opts);

@@ -560,9 +560,9 @@ TEST(RemoteStore, FailedFetchWakesAllSingleFlightWaiters) {
 // Concurrency soak (tsan)
 //===----------------------------------------------------------------------===//
 
-// Eight threads hammering a flaky remote store with a tiny budget:
-// constant faulting, refetching, eviction, injected failures, and
-// single-flight collisions. Every outcome must be either the right
+// Eight threads hammering a flaky remote store with a tiny budget, all
+// contending on the cache's one lock: constant faulting, refetching,
+// eviction, injected failures, and single-flight collisions. Every outcome must be either the right
 // decoded function or a typed error, and the stats must stay coherent.
 TEST(RemoteStore, ConcurrentSoakOverFlakyLink) {
   vm::VMProgram P = buildVM(syntheticSource(8));
@@ -574,7 +574,6 @@ TEST(RemoteStore, ConcurrentSoakOverFlakyLink) {
   RO.FaultSeed = 99;
   StoreOptions Opts;
   Opts.CacheBudgetBytes = 4096; // Small: constant eviction + refetch.
-  Opts.Shards = 2;              // Cross-shard and same-shard contention.
   Opts.Retry.MaxAttempts = 12;
   Result<std::unique_ptr<CodeStore>> L = CodeStore::tryFromSource(
       std::make_unique<SimulatedRemoteFrameSource>(mustLocal(Image), RO),

@@ -435,7 +435,6 @@ TEST(SharedStore, PinsArePerTenant) {
 
   RegistryOptions RO;
   RO.CacheBudgetBytes = 1; // Anything unpinned evicts on the next fault.
-  RO.Shards = 1;
   auto Reg = std::make_shared<FrameRegistry>(RO);
   std::unique_ptr<CodeStore> A = mustLoadTenant(Image, Reg);
   std::unique_ptr<CodeStore> B = mustLoadTenant(Image, Reg);
@@ -471,7 +470,6 @@ TEST(SharedStore, TenantDestructorReleasesItsPins) {
 
   RegistryOptions RO;
   RO.CacheBudgetBytes = 1;
-  RO.Shards = 1;
   auto Reg = std::make_shared<FrameRegistry>(RO);
   std::unique_ptr<CodeStore> A = mustLoadTenant(Image, Reg);
   std::unique_ptr<CodeStore> B = mustLoadTenant(Image, Reg);

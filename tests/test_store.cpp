@@ -226,7 +226,6 @@ TEST(Store, EvictionFollowsLruRecency) {
   size_t C2 = decodedCostBytes(P.Functions[2]);
 
   StoreOptions Opts;
-  Opts.Shards = 1; // One shard so all three ids share one LRU list.
   Opts.CacheBudgetBytes = C0 + C1 + C2 - 1;
   std::unique_ptr<CodeStore> S = mustBuildStore(P, "flate", Opts);
 
@@ -252,7 +251,6 @@ TEST(Store, PinnedEntriesSurviveEviction) {
   vm::VMProgram P = buildVM(syntheticSource(6));
   ASSERT_GE(P.Functions.size(), 4u);
   StoreOptions Opts;
-  Opts.Shards = 1;
   Opts.CacheBudgetBytes = 1; // Every insertion is over budget.
   std::unique_ptr<CodeStore> S = mustBuildStore(P, "vm-compact", Opts);
 
@@ -368,23 +366,39 @@ TEST(Store, CorruptFrameFailsRecoverablyOthersServable) {
   EXPECT_NE(R.Trap.find("resolve function"), std::string::npos) << R.Trap;
 }
 
-// The shard split must not truncate: budget/N drops up to N-1 bytes, so
-// a 7-byte budget over 4 shards would quietly behave as 4 bytes. The
-// remainder is distributed one byte per shard and the effective
-// capacity always equals the configured budget.
-TEST(Store, ShardBudgetDistributesRemainder) {
+// The effective capacity is exactly the configured budget: nothing
+// rounds, splits or truncates it, odd and tiny budgets included.
+TEST(Store, CacheBudgetIsTheConfiguredBudget) {
   vm::VMProgram P = buildVM(syntheticSource(8));
-  for (unsigned Shards : {1u, 3u, 4u, 7u}) {
-    for (size_t Budget : {size_t(7), size_t(1), size_t(64) + 3,
-                          size_t(1) << 20}) {
-      StoreOptions Opts;
-      Opts.Shards = Shards;
-      Opts.CacheBudgetBytes = Budget;
-      std::unique_ptr<CodeStore> S = mustBuildStore(P, "flate", Opts);
-      ASSERT_NE(S, nullptr);
-      EXPECT_EQ(S->cacheBudgetBytes(), Budget)
-          << Shards << " shards, budget " << Budget;
-    }
+  for (size_t Budget :
+       {size_t(7), size_t(1), size_t(64) + 3, size_t(1) << 20}) {
+    StoreOptions Opts;
+    Opts.CacheBudgetBytes = Budget;
+    std::unique_ptr<CodeStore> S = mustBuildStore(P, "flate", Opts);
+    ASSERT_NE(S, nullptr);
+    EXPECT_EQ(S->cacheBudgetBytes(), Budget) << "budget " << Budget;
+  }
+}
+
+// The budget is one LRU's, not a set of slices: a store whose budget
+// equals its whole module's decoded size decodes each function once and
+// never evicts, at default options.
+TEST(Store, WholeModuleBudgetNeverEvicts) {
+  for (unsigned N : {8u, 24u, 64u}) {
+    vm::VMProgram P = buildVM(syntheticSource(N));
+    size_t Whole = 0;
+    for (const vm::VMFunction &F : P.Functions)
+      Whole += decodedCostBytes(F);
+    StoreOptions Opts;
+    Opts.CacheBudgetBytes = Whole;
+    std::unique_ptr<CodeStore> S = mustBuildStore(P, "flate", Opts);
+    ASSERT_NE(S, nullptr);
+
+    vm::RunResult R = runFromStore(*S);
+    ASSERT_TRUE(R.Ok) << "synth " << N << ": " << R.Trap;
+    StoreStats St = S->stats();
+    EXPECT_EQ(St.Evictions, 0u) << "synth " << N;
+    EXPECT_EQ(St.Misses, S->functionCount()) << "synth " << N;
   }
 }
 
