@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // google-benchmark throughput measurements for the building blocks:
-// flate compress/decompress, Huffman and MTF coding, the three
+// flate compress/decompress (large buffers and fault-sized pages),
+// bwt-dict page decode, Huffman and MTF coding, the three
 // execution engines' dispatch rates, BRISC compression, and the JIT's
 // code-production rate (the 2.5 MB/s headline, on modern hardware).
 //
@@ -20,6 +21,8 @@
 #include "minic/Compile.h"
 #include "codegen/Codegen.h"
 #include "native/Threaded.h"
+#include "pipeline/Codec.h"
+#include "pipeline/Payload.h"
 #include "support/Huffman.h"
 #include "support/MTF.h"
 #include "support/PRNG.h"
@@ -55,6 +58,41 @@ vm::VMProgram &wepProgram() {
 
 const corpus::Program &benchProgram() { return *corpus::find("qsort"); }
 
+/// The icc program's functions cut into 256-byte pages at basic-block
+/// boundaries, as fixed-width code: the frame shape a per-page store
+/// faults in.
+const std::vector<std::vector<uint8_t>> &iccPages() {
+  static const std::vector<std::vector<uint8_t>> Pages = [] {
+    minic::CompileResult CR = minic::compile(corpus::sizeClassSource("icc"));
+    codegen::Result CG = codegen::generate(*CR.M);
+    std::vector<std::vector<uint8_t>> Out;
+    for (const vm::VMFunction &F : CG.P.Functions)
+      for (const pipeline::PageChunk &C : pipeline::splitFunctionPages(F, 256))
+        Out.push_back(pipeline::encodePagePayload(
+            pipeline::PayloadKind::FixedCode, C.Code, nullptr));
+    return Out;
+  }();
+  return Pages;
+}
+
+/// Times decompression of every frame in \p Frames through \p C;
+/// throughput counts decoded bytes.
+void decodeFrames(benchmark::State &State, const pipeline::Codec &C,
+                  const std::vector<std::vector<uint8_t>> &Frames) {
+  size_t OutBytes = 0;
+  for (const std::vector<uint8_t> &F : Frames) {
+    Result<std::vector<uint8_t>> R = C.tryDecompress(F);
+    if (!R.ok())
+      reportFatal(std::string(C.name()) + ": " + R.error().message());
+    OutBytes += R.value().size();
+  }
+  for (auto _ : State)
+    for (const std::vector<uint8_t> &F : Frames)
+      benchmark::DoNotOptimize(C.tryDecompress(F));
+  State.SetBytesProcessed(int64_t(State.iterations()) * OutBytes);
+  State.counters["frames"] = double(Frames.size());
+}
+
 } // namespace
 
 static void BM_FlateCompress(benchmark::State &State) {
@@ -73,6 +111,30 @@ static void BM_FlateDecompress(benchmark::State &State) {
   State.SetBytesProcessed(int64_t(State.iterations()) * In.size());
 }
 BENCHMARK(BM_FlateDecompress);
+
+// bwt-dict over the raw fixed-width pages, as the per-page store's
+// "bwt-dict" chain stores them.
+static void BM_BwtDictDecompressPages(benchmark::State &State) {
+  const pipeline::Codec &C = *pipeline::Registry::instance().find("bwt-dict");
+  std::vector<std::vector<uint8_t>> Frames;
+  for (const std::vector<uint8_t> &P : iccPages())
+    Frames.push_back(C.compress(P));
+  decodeFrames(State, C, Frames);
+}
+BENCHMARK(BM_BwtDictDecompressPages);
+
+// flate over the vm-compact form of each page, the back stage of the
+// per-page store's "vm-compact+flate" chain.
+static void BM_FlateDecompressPages(benchmark::State &State) {
+  const pipeline::Registry &R = pipeline::Registry::instance();
+  const pipeline::Codec &Compact = *R.find("vm-compact");
+  const pipeline::Codec &C = *R.find("flate");
+  std::vector<std::vector<uint8_t>> Frames;
+  for (const std::vector<uint8_t> &P : iccPages())
+    Frames.push_back(C.compress(Compact.compress(P)));
+  decodeFrames(State, C, Frames);
+}
+BENCHMARK(BM_FlateDecompressPages);
 
 static void BM_HuffmanRoundTrip(benchmark::State &State) {
   PRNG Rng(3);

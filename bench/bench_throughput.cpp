@@ -9,7 +9,9 @@
 // jobs over the synthetic corpus, with the parallel output checked
 // byte-identical to the serial run. Module-payload codecs (wire) have a
 // single item, so their numbers are flat by construction — reported
-// anyway for the full picture.
+// anyway for the full picture. Decode throughput is single-threaded:
+// tryDecompress of every serial frame, checked byte-identical to its
+// payload, in payload MB/s.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +31,7 @@ int main() {
   vm::VMProgram P = bench::mustBuild(Src);
   std::unique_ptr<ir::Module> M = bench::mustCompile(Src);
 
-  std::printf("codec compression throughput, synthetic corpus "
+  std::printf("codec compression and decode throughput, synthetic corpus "
               "(%zu functions)\n",
               P.Functions.size());
   std::printf("%-12s %6s %10s %12s %10s %9s\n", "codec", "items", "payload",
@@ -64,15 +66,33 @@ int main() {
       std::printf("%-12s %6zu %10zu %12zu %10u %9.2f\n", C->name(),
                   Payloads.size(), PayloadBytes, FrameBytes, Jobs, MBps);
     }
+    for (size_t I = 0; I != Serial.size(); ++I) {
+      Result<std::vector<uint8_t>> R = C->tryDecompress(Serial[I]);
+      if (!R.ok() || R.value() != Payloads[I])
+        reportFatal(std::string("bench_throughput: ") + C->name() +
+                    " frame " + std::to_string(I) +
+                    " does not decode to its payload");
+    }
+    double DecodeSec = bench::timeStable(
+        [&] {
+          for (const std::vector<uint8_t> &F : Serial)
+            (void)C->tryDecompress(F);
+        },
+        0.15);
+    double DecodeMBps = PayloadBytes / DecodeSec / 1e6;
+    std::printf("%-12s %6zu %10zu %12zu %10s %9.2f\n", C->name(),
+                Payloads.size(), PayloadBytes, FrameBytes, "decode",
+                DecodeMBps);
     // One machine-readable line per registered codec, so CI can assert
     // every codec — including newly registered ones — made it through
-    // the parallel-identity check above.
+    // the parallel-identity and decode checks above.
     bench::emitStats(std::string("{\"bench\":\"throughput\",\"codec\":\"") +
                      C->name() + "\",\"items\":" +
                      std::to_string(Payloads.size()) + ",\"payload_bytes\":" +
                      std::to_string(PayloadBytes) + ",\"frame_bytes\":" +
                      std::to_string(FrameBytes) + ",\"best_mbps\":" +
-                     std::to_string(BestMBps) + "}");
+                     std::to_string(BestMBps) + ",\"decompress_mbps\":" +
+                     std::to_string(DecodeMBps) + "}");
     bench::hr();
   }
   return 0;

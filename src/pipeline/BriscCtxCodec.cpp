@@ -170,7 +170,7 @@ size_t tableCapOf(Stream S) {
     return 16;
   case StreamImm:
   case StreamTarget:
-    return MTFDecoder::DefaultMaxTable;
+    return MTFDecoder<>::DefaultMaxTable;
   }
   ccomp_unreachable("bad stream");
 }
@@ -282,9 +282,9 @@ std::vector<Instr> decodeCtxOrThrow(ByteSpan Frame) {
   if (InstrCount > Bits.size() * 8)
     decodeFail("brisc-ctx: inflated instruction count");
 
-  std::unique_ptr<MTFDecoder> Dec[NumModels];
+  std::unique_ptr<MTFDecoder<>> Dec[NumModels];
   for (unsigned M = 0; M != NumModels; ++M)
-    Dec[M] = std::make_unique<MTFDecoder>(
+    Dec[M] = std::make_unique<MTFDecoder<>>(
         tableCapOf(static_cast<Stream>(M % NumStreams)));
 
   BitReader BR(Bits);

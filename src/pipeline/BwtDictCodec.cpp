@@ -116,7 +116,7 @@ std::vector<uint8_t> decodeBwtDictOrThrow(ByteSpan Frame) {
   uint64_t NumSyms = R.readVarU();
   if (NumSyms == 0 || NumSyms > MaxNumSyms)
     decodeFail("bwt-dict: Huffman alphabet size out of range");
-  std::vector<uint8_t> Packed = R.readBytes((NumSyms + 1) / 2);
+  ByteSpan Packed = R.readSpan((NumSyms + 1) / 2);
   std::vector<uint8_t> Lens(NumSyms);
   for (size_t I = 0; I != Lens.size(); ++I)
     Lens[I] = static_cast<uint8_t>(I % 2 ? Packed[I / 2] >> 4
@@ -126,25 +126,22 @@ std::vector<uint8_t> decodeBwtDictOrThrow(ByteSpan Frame) {
   HuffmanCode Code(std::move(Lens));
 
   uint64_t BitBytes = R.readVarU();
-  std::vector<uint8_t> Bits = R.readBytes(BitBytes);
+  ByteSpan Bits = R.readSpan(BitBytes);
   if (!R.atEnd())
     decodeFail("bwt-dict: trailing bytes");
   // Each symbol consumes at least one bit: rejects inflated lengths
-  // before the decode loop spends time (and memory) on them.
+  // before the decode loop spends time (and memory) on them, so the
+  // column below is sized within the bit budget.
   if (OrigLen > Bits.size() * 8)
     decodeFail("bwt-dict: inflated length");
 
   BitReader BR(Bits);
-  MTFDecoder Dec(ByteTableCap);
-  std::vector<uint8_t> LastCol;
-  // Reserve within the bit budget, not the raw claimed length: the
-  // decode loop throws on bit exhaustion before a lie gets that far.
-  LastCol.reserve(std::min<uint64_t>(OrigLen, Bits.size() * 8));
-  for (uint64_t I = 0; I != OrigLen; ++I) {
+  MTFDecoder<uint8_t> Dec(ByteTableCap);
+  std::vector<uint8_t> LastCol(OrigLen);
+  for (uint8_t &C : LastCol) {
     unsigned Sym = Code.decode(BR);
-    uint64_t Val = Sym == 0 ? Dec.decode(0, BR.readBits(8))
-                            : Dec.decode(static_cast<uint32_t>(Sym), 0);
-    LastCol.push_back(static_cast<uint8_t>(Val));
+    C = Sym == 0 ? Dec.decode(0, static_cast<uint8_t>(BR.readBits(8)))
+                 : Dec.decode(Sym, 0);
   }
   if (!BR.nearEnd())
     decodeFail("bwt-dict: trailing bits");

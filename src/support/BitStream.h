@@ -20,6 +20,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace ccomp {
@@ -74,9 +75,14 @@ private:
   unsigned NAcc = 0;
 };
 
-/// Sequential LSB-first bit source. Reading past the end throws
-/// DecodeError (truncated stream); decode entry points catch at the
-/// frame boundary and return a typed error.
+/// Sequential LSB-first bit source over a 64-bit accumulator. A refill
+/// tops the accumulator up to at least 57 bits: one 8-byte load while 8
+/// bytes remain, bytewise at the tail. peekBits() looks ahead without
+/// consuming (bits past the end read as zero, so a decoder may peek a
+/// whole maximal codeword near the tail); consume() is where truncation
+/// is detected. Consuming past the end throws DecodeError (truncated
+/// stream); decode entry points catch at the frame boundary and return a
+/// typed error.
 class BitReader {
 public:
   /*implicit*/ BitReader(ByteSpan S) : Data(S.data()), NBytes(S.size()) {}
@@ -84,19 +90,33 @@ public:
   explicit BitReader(const std::vector<uint8_t> &V)
       : Data(V.data()), NBytes(V.size()) {}
 
+  /// The next \p NBits (<= 32) bits without consuming them; bits past
+  /// the end of the stream read as zero.
+  uint32_t peekBits(unsigned NBits) {
+    assert(NBits <= 32 && "peek wider than a refill guarantees");
+    if (NAcc < NBits)
+      refill();
+    return static_cast<uint32_t>(Acc & lowMask(NBits));
+  }
+
+  /// Drops the next \p NBits (<= 32) bits. Throws DecodeError when fewer
+  /// than \p NBits real bits remain.
+  void consume(unsigned NBits) {
+    assert(NBits <= 32 && "consume wider than a refill guarantees");
+    if (NAcc < NBits) {
+      refill();
+      if (NAcc < NBits)
+        decodeFail("BitReader: read past end of stream");
+    }
+    Acc >>= NBits;
+    NAcc -= NBits;
+  }
+
   uint32_t readBits(unsigned NBits) {
     if (NBits > 32)
       reportFatal("BitReader: bit count out of range"); // Caller bug.
-    while (NAcc < NBits) {
-      if (Pos >= NBytes)
-        decodeFail("BitReader: read past end of stream");
-      Acc |= static_cast<uint64_t>(Data[Pos++]) << NAcc;
-      NAcc += 8;
-    }
-    uint32_t V = static_cast<uint32_t>(Acc) &
-                 (NBits >= 32 ? 0xFFFFFFFFu : ((1u << NBits) - 1u));
-    Acc >>= NBits;
-    NAcc -= NBits;
+    uint32_t V = peekBits(NBits);
+    consume(NBits);
     return V;
   }
 
@@ -110,6 +130,33 @@ public:
   size_t bitPos() const { return Pos * 8 - NAcc; }
 
 private:
+  static uint64_t lowMask(unsigned NBits) {
+    return (uint64_t(1) << NBits) - 1; // NBits <= 32.
+  }
+
+  /// Loads whole bytes into the accumulator until it holds at least 57
+  /// bits or the stream is exhausted. NAcc counts only real bits; the
+  /// 8-byte load may also leave the next byte's low bits above NAcc,
+  /// which are the stream's true next bits, so peeks stay exact.
+  void refill() {
+    if (NBytes - Pos >= 8) {
+      uint64_t Word;
+      std::memcpy(&Word, Data + Pos, 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+      Word = __builtin_bswap64(Word);
+#endif
+      Acc |= Word << NAcc; // NAcc < 32 here: only short peeks refill.
+      unsigned Take = (64 - NAcc) >> 3;
+      Pos += Take;
+      NAcc += Take * 8;
+      return;
+    }
+    while (NAcc <= 56 && Pos < NBytes) {
+      Acc |= static_cast<uint64_t>(Data[Pos++]) << NAcc;
+      NAcc += 8;
+    }
+  }
+
   const uint8_t *Data;
   size_t NBytes;
   size_t Pos = 0;

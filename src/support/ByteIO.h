@@ -164,12 +164,17 @@ public:
     return S;
   }
 
-  std::vector<uint8_t> readBytes(size_t Len) {
+  /// The next \p Len bytes as a view into the buffer (no copy).
+  ByteSpan readSpan(size_t Len) {
     if (Len > N - Pos)
       decodeFail("ByteReader: bytes past end of buffer");
-    std::vector<uint8_t> Out(Data + Pos, Data + Pos + Len);
+    ByteSpan Out(Data + Pos, Len);
     Pos += Len;
     return Out;
+  }
+
+  std::vector<uint8_t> readBytes(size_t Len) {
+    return readSpan(Len).toVector();
   }
 
   size_t remaining() const { return N - Pos; }

@@ -9,7 +9,9 @@
 #include "support/Support.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <iterator>
 #include <queue>
 
 using namespace ccomp;
@@ -126,6 +128,25 @@ ccomp::buildHuffmanLengths(const std::vector<uint64_t> &Freqs,
   return Lengths;
 }
 
+namespace {
+
+/// Bit-reversal of every byte value.
+constexpr std::array<uint8_t, 256> ReversedBytes = [] {
+  std::array<uint8_t, 256> T{};
+  for (unsigned B = 0; B != 256; ++B)
+    for (unsigned I = 0; I != 8; ++I)
+      T[B] |= static_cast<uint8_t>(((B >> I) & 1) << (7 - I));
+  return T;
+}();
+
+/// The low 16 bits of \p V in reverse order.
+uint32_t reverse16(uint32_t V) {
+  return (uint32_t(ReversedBytes[V & 0xFF]) << 8) |
+         ReversedBytes[(V >> 8) & 0xFF];
+}
+
+} // namespace
+
 bool HuffmanCode::isValidLengthSet(const std::vector<uint8_t> &Lengths) {
   unsigned Max = 0;
   for (uint8_t L : Lengths)
@@ -143,46 +164,47 @@ HuffmanCode::HuffmanCode(std::vector<uint8_t> Lens)
     : Lengths(std::move(Lens)) {
   for (uint8_t L : Lengths)
     MaxLen = std::max<unsigned>(MaxLen, L);
-  Codes.assign(Lengths.size(), 0);
-  CountOfLen.assign(MaxLen + 1, 0);
+  if (MaxLen > MaxCodeLen)
+    reportFatal("HuffmanCode: code length out of range");
+  if (Lengths.size() > (size_t(1) << (32 - EntryLenBits)))
+    reportFatal("HuffmanCode: alphabet too large");
+  PeekLen = std::max(MaxLen, PrimaryBits);
   for (uint8_t L : Lengths)
     if (L)
       ++CountOfLen[L];
 
   // Canonical first-code per length.
-  FirstCode.assign(MaxLen + 2, 0);
-  FirstIndex.assign(MaxLen + 2, 0);
   uint32_t Code = 0, Index = 0;
   for (unsigned L = 1; L <= MaxLen; ++L) {
-    Code = (Code + (L > 1 ? CountOfLen[L - 1] : 0)) << 1;
+    Code = (Code + CountOfLen[L - 1]) << 1;
     FirstCode[L] = Code;
     FirstIndex[L] = Index;
     Index += CountOfLen[L];
-    if (FirstCode[L] + CountOfLen[L] > (1u << L))
+    if (uint64_t(Code) + CountOfLen[L] > (uint64_t(1) << L))
       reportFatal("HuffmanCode: oversubscribed code lengths");
   }
 
-  // Assign codes in (length, symbol) order.
-  SortedSyms.clear();
-  std::vector<uint32_t> NextCode(MaxLen + 1);
-  for (unsigned L = 1; L <= MaxLen; ++L)
-    NextCode[L] = FirstCode[L];
-  for (unsigned S = 0; S != Lengths.size(); ++S) {
-    unsigned L = Lengths[S];
-    if (!L)
-      continue;
-    Codes[S] = NextCode[L]++;
-  }
-  // SortedSyms[FirstIndex[L] + k] = k-th symbol of length L.
+  // Assign codes in (length, symbol) order; SortedSyms[FirstIndex[L] + k]
+  // is the k-th symbol of length L. A code of at most PrimaryBits bits
+  // fills every primary slot whose low L bits are its stream-order
+  // (reversed) spelling.
+  Codes.assign(Lengths.size(), 0);
   SortedSyms.assign(Index, 0);
-  std::vector<uint32_t> Fill(MaxLen + 1);
-  for (unsigned L = 1; L <= MaxLen; ++L)
-    Fill[L] = FirstIndex[L];
+  uint32_t NextCode[MaxCodeLen + 1];
+  std::copy(std::begin(FirstCode), std::end(FirstCode), NextCode);
   for (unsigned S = 0; S != Lengths.size(); ++S) {
     unsigned L = Lengths[S];
     if (!L)
       continue;
-    SortedSyms[Fill[L]++] = S;
+    uint32_t C = NextCode[L]++;
+    Codes[S] = C;
+    SortedSyms[FirstIndex[L] + (C - FirstCode[L])] = S;
+    if (L > PrimaryBits)
+      continue;
+    uint32_t Rev = reverse16(C) >> (16 - L);
+    uint32_t Entry = (static_cast<uint32_t>(S) << EntryLenBits) | L;
+    for (uint32_t I = Rev; I < PrimarySize; I += 1u << L)
+      Primary[I] = Entry;
   }
 }
 
@@ -195,14 +217,19 @@ void HuffmanCode::encode(BitWriter &BW, unsigned Sym) const {
   BW.writeCodeMSB(Codes[Sym], Lengths[Sym]);
 }
 
-unsigned HuffmanCode::decode(BitReader &BR) const {
+uint32_t HuffmanCode::decodeLong(uint32_t Bits) const {
   uint32_t Code = 0;
   for (unsigned L = 1; L <= MaxLen; ++L) {
-    Code = (Code << 1) | BR.readBit();
-    if (CountOfLen[L] && Code < FirstCode[L] + CountOfLen[L] &&
-        Code >= FirstCode[L])
-      return SortedSyms[FirstIndex[L] + (Code - FirstCode[L])];
+    Code = (Code << 1) | ((Bits >> (L - 1)) & 1);
+    if (Code - FirstCode[L] < CountOfLen[L])
+      return (SortedSyms[FirstIndex[L] + (Code - FirstCode[L])]
+              << EntryLenBits) |
+             L;
   }
+  return 0;
+}
+
+void HuffmanCode::failInvalidCode() {
   decodeFail("HuffmanCode: invalid code in stream");
 }
 

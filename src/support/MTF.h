@@ -20,8 +20,9 @@
 #include "support/Support.h"
 
 #include <cstdint>
+#include <cstring>
 #include <string>
-#include <unordered_set>
+#include <type_traits>
 #include <vector>
 
 namespace ccomp {
@@ -55,50 +56,77 @@ private:
   std::vector<uint64_t> Table;
 };
 
-/// Stateful MTF decoder mirroring MTFEncoder.
+/// Stateful MTF decoder mirroring MTFEncoder, over unsigned symbols of
+/// type \p SymT (uint64_t for the wire and brisc-ctx streams, uint8_t for
+/// bwt-dict's byte column).
 ///
 /// The decoder runs over attacker-controlled streams, and the encoder
 /// never emits Index==0 twice for the same symbol (a seen symbol is
 /// always addressed through the table). Both facts are enforced here:
 /// a duplicate "new symbol" token and a table grown past the cap are
 /// typed DecodeErrors, so a hostile stream of repeated Index==0 tokens
-/// cannot balloon the table into a memory bomb.
-class MTFDecoder {
+/// cannot balloon the table into a memory bomb. The duplicate check is
+/// folded into the shift that makes room for a new symbol, so it costs
+/// no pass of its own and no allocation.
+template <typename SymT = uint64_t> class MTFDecoder {
+  static_assert(std::is_unsigned_v<SymT>, "MTF symbols are unsigned");
+
 public:
   /// Any legitimate stream in this codebase stays far below this; it
   /// exists to bound memory on corrupt input, not to limit alphabets.
   static constexpr size_t DefaultMaxTable = size_t(1) << 20;
 
   explicit MTFDecoder(size_t MaxTable = DefaultMaxTable)
-      : MaxTable(MaxTable) {}
+      : MaxTable(MaxTable) {
+    Table.reserve(InitialTableBytes / sizeof(SymT));
+  }
 
   /// Decodes one token. \p NewSymbol is consulted only when Index == 0.
   /// Throws DecodeError on an index past the table, a duplicate new
-  /// symbol, or a table past its cap (all corrupt-stream shapes).
-  uint64_t decode(uint32_t Index, uint64_t NewSymbol) {
-    if (Index == 0) {
-      if (Table.size() >= MaxTable)
-        decodeFail("MTFDecoder: table size cap of " +
-                   std::to_string(MaxTable) + " exceeded");
-      if (!Known.insert(NewSymbol).second)
-        decodeFail("MTFDecoder: duplicate new-symbol token");
-      Table.insert(Table.begin(), NewSymbol);
-      return NewSymbol;
-    }
+  /// symbol, or a table past its cap (all corrupt-stream shapes); the
+  /// table is unspecified after a throw.
+  SymT decode(uint32_t Index, SymT NewSymbol) {
+    if (Index == 0)
+      return addNew(NewSymbol);
     if (Index > Table.size())
       decodeFail("MTFDecoder: index out of range");
-    uint64_t Sym = Table[Index - 1];
-    Table.erase(Table.begin() + (Index - 1));
-    Table.insert(Table.begin(), Sym);
+    SymT *T = Table.data();
+    SymT Sym = T[Index - 1];
+    std::memmove(T + 1, T, (Index - 1) * sizeof(SymT));
+    T[0] = Sym;
     return Sym;
   }
 
   size_t tableSize() const { return Table.size(); }
 
 private:
+  /// Up-front table storage: a whole byte alphabet, so bwt-dict's table
+  /// never regrows.
+  static constexpr size_t InitialTableBytes = 256;
+
+  /// Inserts \p NewSymbol at the front. The shift that makes room also
+  /// checks each entry it moves against the newcomer.
+  SymT addNew(SymT NewSymbol) {
+    size_t Size = Table.size();
+    if (Size >= MaxTable)
+      decodeFail("MTFDecoder: table size cap of " + std::to_string(MaxTable) +
+                 " exceeded");
+    Table.push_back(SymT());
+    SymT *T = Table.data();
+    SymT Carry = NewSymbol;
+    for (size_t I = 0; I != Size; ++I) {
+      SymT Cur = T[I];
+      if (Cur == NewSymbol)
+        decodeFail("MTFDecoder: duplicate new-symbol token");
+      T[I] = Carry;
+      Carry = Cur;
+    }
+    T[Size] = Carry;
+    return NewSymbol;
+  }
+
   size_t MaxTable;
-  std::vector<uint64_t> Table;
-  std::unordered_set<uint64_t> Known;
+  std::vector<SymT> Table; // Most recent first.
 };
 
 } // namespace ccomp

@@ -249,6 +249,67 @@ TEST(FaultInjection, BwtDictRejectsDuplicateNewSymbolBomb) {
       << R.error().message();
 }
 
+// The shared Huffman decoder peeks a whole window past a truncated end
+// (the reader zero-pads peeks), so truncation must still surface when
+// the code is consumed. For every symbol of a code whose lengths run
+// 1..15 (short codes hit the primary table, long ones the canonical
+// walk), the stream ends at every bit inside that symbol's code: Skip
+// one-bit filler codes shift the code against the byte boundary where
+// the stream is cut. Each cut must be a typed error through tryDecode.
+TEST(FaultInjection, HuffmanTruncatedAtEveryBitIsTyped) {
+  std::vector<uint64_t> Freq;
+  uint64_t A = 1, B = 1;
+  for (int I = 0; I != 16; ++I) {
+    Freq.push_back(A);
+    uint64_t T = A + B;
+    A = B;
+    B = T;
+  }
+  std::vector<uint8_t> Lens = buildHuffmanLengths(Freq, 15);
+  HuffmanCode Code(Lens);
+  const unsigned Filler = 15; // The one 1-bit code.
+  ASSERT_EQ(Lens[Filler], 1);
+  size_t Cuts = 0, LongCuts = 0;
+  for (unsigned Sym = 0; Sym != Lens.size(); ++Sym) {
+    for (unsigned Skip = 0; Skip != 8; ++Skip) {
+      BitWriter W;
+      for (unsigned I = 0; I != Skip; ++I)
+        Code.encode(W, Filler);
+      Code.encode(W, Sym);
+      size_t End = W.bitCount();
+      std::vector<uint8_t> Full = W.finish();
+      // Every whole-byte cut that ends the stream inside the code (or
+      // right before it).
+      for (size_t Bytes = 0; Bytes * 8 < End; ++Bytes) {
+        if (Bytes * 8 < Skip)
+          continue; // The cut falls in the fillers, not in the code.
+        std::vector<uint8_t> Cut(Full.begin(), Full.begin() + Bytes);
+        Result<unsigned> R = tryDecode([&] {
+          BitReader BR(Cut);
+          for (unsigned I = 0; I != Skip; ++I)
+            if (Code.decode(BR) != Filler)
+              decodeFail("filler mis-decoded");
+          return Code.decode(BR);
+        });
+        ASSERT_FALSE(R.ok()) << "symbol " << Sym << " cut at bit "
+                             << Bytes * 8 - Skip << " of "
+                             << unsigned(Lens[Sym]);
+        EXPECT_NE(R.error().message().find("read past end"), std::string::npos)
+            << R.error().message();
+        ++Cuts;
+        LongCuts += Lens[Sym] > HuffmanCode::PrimaryBits;
+      }
+    }
+  }
+  // Bit positions 0..L-1 of every code of length L are cut once each.
+  size_t Expected = 0;
+  for (uint8_t L : Lens)
+    Expected += L;
+  EXPECT_EQ(Cuts, Expected);
+  EXPECT_GT(LongCuts, 0u);
+  EXPECT_GT(Cuts, LongCuts);
+}
+
 //===----------------------------------------------------------------------===//
 // Store containers: manifest, frame table, and frames. Corruption must
 // surface as a typed load or fault error, whether the container is

@@ -15,6 +15,8 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+
 using namespace ccomp;
 
 TEST(BitStream, RoundTripFixedPatterns) {
@@ -129,6 +131,83 @@ TEST(Huffman, LengthLimitRespected) {
   EXPECT_TRUE(HuffmanCode::isValidLengthSet(Lens));
 }
 
+namespace {
+
+/// Lengths 1..15 from Fibonacci frequencies: most codes run past the
+/// decoder's primary table, and the single 1-bit code (symbol 15, code
+/// '0') is a one-bit filler.
+std::vector<uint8_t> fibonacciLengths() {
+  std::vector<uint64_t> Freq;
+  uint64_t A = 1, B = 1;
+  for (int I = 0; I != 16; ++I) {
+    Freq.push_back(A);
+    uint64_t T = A + B;
+    A = B;
+    B = T;
+  }
+  return buildHuffmanLengths(Freq, 15);
+}
+
+void expectRoundTrip(const std::vector<uint8_t> &Lens,
+                     const std::vector<unsigned> &Syms) {
+  HuffmanCode Code(Lens);
+  BitWriter W;
+  for (unsigned S : Syms)
+    Code.encode(W, S);
+  size_t Bits = W.bitCount();
+  std::vector<uint8_t> B = W.finish();
+  BitReader R(B);
+  for (unsigned S : Syms)
+    ASSERT_EQ(Code.decode(R), S);
+  EXPECT_EQ(R.bitPos(), Bits);
+}
+
+} // namespace
+
+TEST(Huffman, LongCodesPastThePrimaryTableRoundTrip) {
+  std::vector<uint8_t> Lens = fibonacciLengths();
+  ASSERT_EQ(*std::max_element(Lens.begin(), Lens.end()), 15);
+  ASSERT_GT(*std::max_element(Lens.begin(), Lens.end()),
+            HuffmanCode::PrimaryBits);
+  std::vector<unsigned> Syms;
+  for (unsigned S = 0; S != Lens.size(); ++S)
+    Syms.push_back(S); // Every length once, table path and long path.
+  PRNG Rng(5);
+  for (int I = 0; I != 5000; ++I)
+    Syms.push_back(static_cast<unsigned>(Rng.below(Lens.size())));
+  expectRoundTrip(Lens, Syms);
+}
+
+TEST(Huffman, OneAndTwoSymbolCodesRoundTrip) {
+  expectRoundTrip({1}, std::vector<unsigned>(100, 0));
+  expectRoundTrip({0, 0, 1, 0}, std::vector<unsigned>(13, 2));
+  std::vector<unsigned> Syms;
+  PRNG Rng(6);
+  for (int I = 0; I != 1000; ++I)
+    Syms.push_back(static_cast<unsigned>(Rng.below(2)));
+  expectRoundTrip({1, 1}, Syms);
+}
+
+TEST(Huffman, InvalidPrefixOfIncompleteCodeIsInvalidCode) {
+  // {1}: only '0' is a code, so a leading 1 bit is no code's prefix.
+  // {2,2,2}: '00', '01', '10' are codes, '11' is not.
+  struct Case {
+    std::vector<uint8_t> Lens;
+    uint8_t Byte;
+  } Cases[] = {{{1}, 0x01}, {{2, 2, 2}, 0x03}, {{1}, 0xFF}};
+  for (const Case &C : Cases) {
+    HuffmanCode Code(C.Lens);
+    std::vector<uint8_t> B = {C.Byte};
+    Result<unsigned> R = tryDecode([&] {
+      BitReader BR(B);
+      return Code.decode(BR);
+    });
+    ASSERT_FALSE(R.ok());
+    EXPECT_NE(R.error().message().find("invalid code"), std::string::npos)
+        << R.error().message();
+  }
+}
+
 TEST(MTF, PaperExample) {
   // The ADDRLP stream example from section 3: [72 72 68 72 68 68 68 68]
   // MTF-codes to [0 1 0 2 2 1 1 1].
@@ -208,6 +287,67 @@ TEST(BitStream, ReadPastEndThrowsDecodeError) {
   EXPECT_THROW(R.readBits(8), DecodeError);
 }
 
+TEST(BitStream, PeekAndConsumeAtAndPastTheEnd) {
+  std::vector<uint8_t> B = {0xA5, 0x3C};
+  BitReader R(B);
+  EXPECT_EQ(R.peekBits(8), 0xA5u);
+  EXPECT_EQ(R.peekBits(32), 0x3CA5u); // Bits past the end read as zero.
+  R.consume(12);
+  EXPECT_EQ(R.peekBits(4), 0x3u);
+  EXPECT_EQ(R.peekBits(20), 0x3u);
+  R.consume(4); // Exactly at the end: still fine.
+  EXPECT_TRUE(R.nearEnd());
+  EXPECT_EQ(R.bitPos(), 16u);
+  EXPECT_EQ(R.peekBits(32), 0u);
+  R.consume(0);
+  try {
+    R.consume(1);
+    FAIL() << "consumed past the end";
+  } catch (const DecodeError &E) {
+    EXPECT_NE(std::string(E.what()).find("read past end of stream"),
+              std::string::npos);
+  }
+  // A consume wider than what remains fails even when some bits remain.
+  BitReader R2(B);
+  R2.consume(10);
+  EXPECT_THROW(R2.consume(7), DecodeError);
+  BitReader Empty(ByteSpan{});
+  EXPECT_EQ(Empty.peekBits(9), 0u);
+  EXPECT_THROW(Empty.readBits(1), DecodeError);
+}
+
+TEST(BitStream, ReadBits32AcrossRefillBoundaries) {
+  // Every start offset within a 64-bit accumulator, then 32-bit reads
+  // straddling the word loads and the bytewise tail.
+  PRNG Rng(11);
+  std::vector<uint8_t> B(61);
+  for (uint8_t &Byte : B)
+    Byte = static_cast<uint8_t>(Rng.next());
+  auto bitsAt = [&](size_t Pos, unsigned N) {
+    uint32_t V = 0;
+    for (unsigned I = 0; I != N; ++I)
+      V |= uint32_t((B[(Pos + I) / 8] >> ((Pos + I) % 8)) & 1) << I;
+    return V;
+  };
+  for (unsigned Start = 0; Start != 64; ++Start) {
+    BitReader R(B);
+    size_t Pos = 0;
+    for (unsigned Skip = Start; Skip;) {
+      unsigned N = std::min(Skip, 32u);
+      ASSERT_EQ(R.readBits(N), bitsAt(Pos, N));
+      Pos += N;
+      Skip -= N;
+    }
+    while (Pos + 32 <= B.size() * 8) {
+      ASSERT_EQ(R.readBits(32), bitsAt(Pos, 32)) << Start << " @" << Pos;
+      Pos += 32;
+    }
+    unsigned Tail = static_cast<unsigned>(B.size() * 8 - Pos);
+    ASSERT_EQ(R.readBits(Tail), bitsAt(Pos, Tail));
+    EXPECT_THROW(R.readBits(1), DecodeError);
+  }
+}
+
 TEST(BitStreamDeath, WriteBitsCountOutOfRangeAbortsInEveryBuild) {
   // Regression: in release builds an assert-only check let NBits > 32
   // silently corrupt the stream (mis-decode, no diagnostic). This must
@@ -283,6 +423,53 @@ TEST(MTF, DecoderRejectsDuplicateNewSymbol) {
     EXPECT_NE(std::string(E.what()).find("duplicate new-symbol"),
               std::string::npos);
   }
+}
+
+TEST(MTF, ByteDecoderRejectsCorruptTokens) {
+  MTFDecoder<uint8_t> Dec(256);
+  EXPECT_EQ(Dec.decode(0, 7), 7);
+  try {
+    Dec.decode(2, 0);
+    FAIL() << "index past the table accepted";
+  } catch (const DecodeError &E) {
+    EXPECT_NE(std::string(E.what()).find("index out of range"),
+              std::string::npos);
+  }
+  EXPECT_EQ(Dec.decode(0, 9), 9);
+  try {
+    Dec.decode(0, 7);
+    FAIL() << "duplicate accepted";
+  } catch (const DecodeError &E) {
+    EXPECT_NE(std::string(E.what()).find("duplicate new-symbol"),
+              std::string::npos);
+  }
+}
+
+TEST(MTF, DecodersMatchEncoderAtEveryIndex) {
+  // Indices across the whole table: the full byte alphabet, and 64-bit
+  // symbols whose table is far wider.
+  PRNG Rng(21);
+  std::vector<uint64_t> Bytes, Wide;
+  for (int I = 0; I != 20000; ++I) {
+    Bytes.push_back(Rng.below(4) ? Rng.below(8) : Rng.below(256));
+    Wide.push_back(Rng.below(2) ? Rng.below(3) : Rng.below(300) << 40);
+  }
+  MTFEncoder ByteEnc, WideEnc;
+  MTFDecoder<uint8_t> ByteDec(256);
+  MTFDecoder<> WideDec;
+  uint32_t MaxIndex = 0;
+  for (uint64_t V : Bytes) {
+    MTFToken T = ByteEnc.encode(V);
+    MaxIndex = std::max(MaxIndex, T.Index);
+    ASSERT_EQ(ByteDec.decode(T.Index, static_cast<uint8_t>(T.NewSymbol)), V);
+  }
+  EXPECT_EQ(ByteDec.tableSize(), 256u);
+  EXPECT_GT(MaxIndex, 200u);
+  for (uint64_t V : Wide) {
+    MTFToken T = WideEnc.encode(V);
+    ASSERT_EQ(WideDec.decode(T.Index, T.NewSymbol), V);
+  }
+  EXPECT_EQ(WideDec.tableSize(), WideEnc.tableSize());
 }
 
 TEST(BWT, KnownTransformAndRoundTrip) {
