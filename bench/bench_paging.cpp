@@ -669,8 +669,8 @@ int main(int Argc, char **Argv) {
 
   // Eighth act (per-page codec selection, asserted): build the paged
   // store once per candidate chain used globally, then once with
-  // per-frame selection over the whole candidate set (decode budget 0 =
-  // pure size, deterministic). The selected container's frame bytes
+  // per-frame selection over the whole candidate set (pure size,
+  // deterministic). The selected container's frame bytes
   // must come in strictly below the best single chain — the win only a
   // per-frame manifest can record — and both the selected store and its
   // saved/reloaded v4 image must execute byte-identically to eager.

@@ -133,51 +133,47 @@ int main(int argc, char **argv) {
 
   // Page-size sweep: rebuild the store at sub-function fault
   // granularity and shrink the page target. Execution must stay
-  // byte-identical at every page size and budget — a branch into a cold
-  // page decodes just that page, while the interpreter walks spans
-  // instead of whole bodies.
-  std::printf("\npage-size sweep (budget %zu B, then 1 B):\n",
-              DecodedBytes / 8);
+  // byte-identical at every page size — a branch into a cold page
+  // decodes just that page, while the interpreter walks spans instead
+  // of whole bodies.
+  std::printf("\npage-size sweep (budget %zu B):\n", DecodedBytes / 8);
   std::printf("%12s | %8s %8s %8s %9s %10s\n", "page B", "frames",
               "faults", "evicts", "hit rate", "decode ms");
   hr();
   for (size_t Target : {size_t(0), size_t(4096), size_t(256), size_t(64)}) {
-    for (size_t Budget : {DecodedBytes / 8, size_t(1)}) {
-      store::StoreOptions Opts;
-      Opts.CacheBudgetBytes = Budget;
-      Opts.PageTargetBytes = Target;
-      std::unique_ptr<store::CodeStore> S =
-          store::CodeStore::build(P, Chain, Opts, Err);
-      if (!S) {
-        std::printf("paged store build failed: %s\n", Err.c_str());
-        return 1;
-      }
-      // Round-trip through the container so the paged manifest is
-      // exercised too, not just the in-memory build.
-      Result<std::unique_ptr<store::CodeStore>> Loaded =
-          store::CodeStore::tryLoad(S->save(), Opts);
-      if (!Loaded.ok()) {
-        std::printf("paged store load failed: %s\n",
-                    Loaded.error().message().c_str());
-        return 1;
-      }
-      S = Loaded.take();
-
-      vm::RunResult R = store::runFromStore(*S);
-      if (!R.Ok) {
-        std::printf("paged run trapped: %s\n", R.Trap.c_str());
-        return 1;
-      }
-      if (R.Output != Eager.Output || R.ExitCode != Eager.ExitCode ||
-          R.Steps != Eager.Steps)
-        AllMatch = false;
-      store::StoreStats St = S->stats();
-      if (Budget == DecodedBytes / 8)
-        std::printf("%12zu | %8u %8llu %8llu %8.1f%% %10.2f\n", Target,
-                    S->frameCount(), (unsigned long long)St.Misses,
-                    (unsigned long long)St.Evictions, St.hitRate() * 100,
-                    double(St.DecodeNanos) / 1e6);
+    store::StoreOptions Opts;
+    Opts.CacheBudgetBytes = DecodedBytes / 8;
+    Opts.PageTargetBytes = Target;
+    std::unique_ptr<store::CodeStore> S =
+        store::CodeStore::build(P, Chain, Opts, Err);
+    if (!S) {
+      std::printf("paged store build failed: %s\n", Err.c_str());
+      return 1;
     }
+    // Round-trip through the container so the paged manifest is
+    // exercised too, not just the in-memory build.
+    Result<std::unique_ptr<store::CodeStore>> Loaded =
+        store::CodeStore::tryLoad(S->save(), Opts);
+    if (!Loaded.ok()) {
+      std::printf("paged store load failed: %s\n",
+                  Loaded.error().message().c_str());
+      return 1;
+    }
+    S = Loaded.take();
+
+    vm::RunResult R = store::runFromStore(*S);
+    if (!R.Ok) {
+      std::printf("paged run trapped: %s\n", R.Trap.c_str());
+      return 1;
+    }
+    if (R.Output != Eager.Output || R.ExitCode != Eager.ExitCode ||
+        R.Steps != Eager.Steps)
+      AllMatch = false;
+    store::StoreStats St = S->stats();
+    std::printf("%12zu | %8u %8llu %8llu %8.1f%% %10.2f\n", Target,
+                S->frameCount(), (unsigned long long)St.Misses,
+                (unsigned long long)St.Evictions, St.hitRate() * 100,
+                double(St.DecodeNanos) / 1e6);
   }
   hr();
 

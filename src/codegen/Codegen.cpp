@@ -501,11 +501,11 @@ void FunctionEmitter::emitCall(const Tree *Call, unsigned ResultDepth) {
   // Register arguments: evaluate into the evaluation stack, then move
   // into n0..n3 (the moves mirror the paper's mov.i n1,n4 idiom).
   unsigned NReg = static_cast<unsigned>(std::min<size_t>(Args.size(), 4));
-  std::vector<unsigned> Held(NReg);
+  std::vector<unsigned> ArgReg(NReg);
   for (unsigned I = 0; I != NReg; ++I)
-    Held[I] = evalExpr(Args[I]->Kids[0], ResultDepth + I);
+    ArgReg[I] = evalExpr(Args[I]->Kids[0], ResultDepth + I);
   for (unsigned I = 0; I != NReg; ++I)
-    emitRR(VMOp::MOV, vm::N0 + I, Held[I]);
+    emitRR(VMOp::MOV, vm::N0 + I, ArgReg[I]);
 
   if (ST.Kind == SymTarget::Sys) {
     Instr In;

@@ -11,7 +11,6 @@
 #include "support/Support.h"
 #include "support/ThreadPool.h"
 
-#include <algorithm>
 #include <optional>
 
 using namespace ccomp;
@@ -97,30 +96,15 @@ pipeline::tryDecompressAll(const std::vector<const Codec *> &Chain,
 
 ChainSelection pipeline::selectChainsPerItem(
     const std::vector<std::vector<const Codec *>> &Chains,
-    const std::vector<std::vector<uint8_t>> &Payloads,
-    uint64_t DecodeBudgetNanos, unsigned Jobs) {
+    const std::vector<std::vector<uint8_t>> &Payloads, unsigned Jobs) {
   if (Chains.empty())
     reportFatal("pipeline: no candidate chains");
   for (const std::vector<const Codec *> &C : Chains)
     if (C.empty())
       reportFatal("pipeline: empty codec chain");
 
-  // The decode-rate model reads snapshot() deltas over the trial
-  // traffic, so other traffic on the same process-wide codecs between
-  // the two snapshots would pollute the rates (never the frames).
-  std::vector<const Codec *> Distinct;
-  for (const std::vector<const Codec *> &C : Chains)
-    for (const Codec *K : C)
-      if (std::find(Distinct.begin(), Distinct.end(), K) == Distinct.end())
-        Distinct.push_back(K);
-  std::vector<CodecStats> Before;
-  Before.reserve(Distinct.size());
-  for (const Codec *K : Distinct)
-    Before.push_back(K->snapshot());
-
   struct Trial {
     std::vector<uint8_t> Frame;
-    std::vector<size_t> StageIn; // payload bytes entering each stage
     bool Verified = false;
   };
   std::vector<std::vector<Trial>> Trials(Payloads.size(),
@@ -132,7 +116,6 @@ ChainSelection pipeline::selectChainsPerItem(
       std::vector<std::vector<uint8_t>> Inputs;
       std::vector<uint8_t> Cur = Payloads[I];
       for (const Codec *K : Chain) {
-        T.StageIn.push_back(Cur.size());
         Inputs.push_back(Cur);
         Cur = K->compress(Cur);
       }
@@ -159,24 +142,6 @@ ChainSelection pipeline::selectChainsPerItem(
     Pool.parallelFor(Payloads.size(), RunItem);
   }
 
-  // ns per decompressed byte, per codec. The verify pass decompressed
-  // exactly what the trial pass compressed, so the delta in compress
-  // input bytes is also the delta in decompressed output bytes.
-  std::vector<double> NsPerByte(Distinct.size(), 0.0);
-  for (size_t K = 0; K != Distinct.size(); ++K) {
-    CodecStats After = Distinct[K]->snapshot();
-    uint64_t Nanos = After.DecompressNanos - Before[K].DecompressNanos;
-    uint64_t Bytes = After.BytesIn - Before[K].BytesIn;
-    NsPerByte[K] = static_cast<double>(Nanos) /
-                   static_cast<double>(std::max<uint64_t>(Bytes, 1));
-  }
-  auto RateOf = [&](const Codec *K) {
-    for (size_t J = 0; J != Distinct.size(); ++J)
-      if (Distinct[J] == K)
-        return NsPerByte[J];
-    return 0.0; // unreachable: every chain codec is in Distinct
-  };
-
   ChainSelection Sel;
   Sel.Frames.resize(Payloads.size());
   Sel.ChainIdx.resize(Payloads.size());
@@ -187,19 +152,12 @@ ChainSelection pipeline::selectChainsPerItem(
       const Trial &T = Trials[I][C];
       if (!T.Verified)
         continue;
-      if (DecodeBudgetNanos != 0) {
-        double ModelNs = 0.0;
-        for (size_t J = 0; J != Chains[C].size(); ++J)
-          ModelNs += static_cast<double>(T.StageIn[J]) * RateOf(Chains[C][J]);
-        if (ModelNs > static_cast<double>(DecodeBudgetNanos))
-          continue;
-      }
       if (!Have || T.Frame.size() < Trials[I][Best].Frame.size()) {
         Best = C;
         Have = true;
       }
     }
-    // No chain qualified: fall back to the primary chain, which the
+    // No chain verified: fall back to the primary chain, which the
     // caller guarantees works (it is the container's global chain).
     Sel.ChainIdx[I] = static_cast<uint32_t>(Best);
     Sel.Frames[I] = std::move(Trials[I][Best].Frame);

@@ -57,24 +57,16 @@ struct ChainSelection {
 };
 
 /// Trial-encodes every payload through every candidate chain and picks,
-/// per item, the chain with the smallest frame among those that (a)
-/// round-trip the payload byte-exactly and (b) fit the decode-time
-/// budget. Decode time is modeled from the codecs' own snapshot()
-/// deltas over the trial traffic: the verify pass decompresses exactly
-/// what was compressed, so DecompressNanos/BytesIn is each codec's
-/// nanoseconds per decompressed byte, and a chain's modeled cost is the
-/// sum over its stages of (stage payload bytes x stage rate).
-///
-/// \p DecodeBudgetNanos 0 means unlimited, which also makes the
-/// selection fully deterministic (pure size comparison; a nonzero
-/// budget depends on measured rates). Ties go to the lower chain
-/// index; an item with no qualifying chain falls back to chain 0.
-/// Chains must be non-empty and their first codecs must accept the
-/// payloads the caller built (the caller aligns payload kinds).
+/// per item, the chain with the smallest frame among those that
+/// round-trip the payload byte-exactly. The selection is deterministic:
+/// ties go to the lower chain index, and an item no chain verifies
+/// falls back to chain 0. Chains must be non-empty and their first
+/// codecs must accept the payloads the caller built (the caller aligns
+/// payload kinds).
 ChainSelection
 selectChainsPerItem(const std::vector<std::vector<const Codec *>> &Chains,
                     const std::vector<std::vector<uint8_t>> &Payloads,
-                    uint64_t DecodeBudgetNanos, unsigned Jobs);
+                    unsigned Jobs);
 
 /// Packs a chain spec and its frames into one self-describing container.
 std::vector<uint8_t> packContainer(const std::string &ChainSpec,

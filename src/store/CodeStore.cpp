@@ -96,23 +96,10 @@ Result<bool> CodeStore::initRuntime(StoreOptions O) {
   if (!H.ok())
     return H.error();
   Heat = H.take();
-  PinnedByMe.assign(frameCount(), 0);
   Warming = std::make_unique<std::atomic<uint8_t>[]>(frameCount());
   for (uint32_t I = 0; I != frameCount(); ++I)
     Warming[I].store(0, std::memory_order_relaxed);
   return true;
-}
-
-CodeStore::~CodeStore() {
-  // A private registry dies with the store. On a shared one, release
-  // every pin this tenant still holds so a departed tenant cannot keep
-  // frames unevictable forever.
-  if (PrivateReg || !Reg)
-    return;
-  std::lock_guard<std::mutex> L(PinMu);
-  for (uint32_t I = 0; I != PinnedByMe.size(); ++I)
-    if (PinnedByMe[I])
-      Reg->unpin(keyOf(I));
 }
 
 void CodeStore::indexPages() {
@@ -263,7 +250,7 @@ std::unique_ptr<CodeStore> CodeStore::build(const vm::VMProgram &P,
   std::vector<std::vector<uint8_t>> Frames;
   if (CandSpecs.size() > 1) {
     pipeline::ChainSelection Sel = pipeline::selectChainsPerItem(
-        CandChains, Payloads, Opts.FrameDecodeBudgetNanos, Opts.BuildJobs);
+        CandChains, Payloads, Opts.BuildJobs);
     Frames = std::move(Sel.Frames);
     // A uniform outcome (every frame picked the primary) normalizes to
     // a plain single-chain store: the frames are exactly what
@@ -674,11 +661,18 @@ CodeStore::FaultOutcome CodeStore::decodeFrame(uint32_t Id, FetchMetrics &M) {
   return std::shared_ptr<const vm::VMFunction>(std::move(F));
 }
 
-CodeStore::FaultOutcome CodeStore::registryFault(uint32_t Id, bool Pin,
-                                                 bool Held, bool Prefetch) {
+CodeStore::FaultOutcome CodeStore::faultImpl(uint32_t Id, bool Prefetch) {
+  if (Id >= frameCount())
+    return DecodeError("store: frame id " + std::to_string(Id) +
+                       " out of range");
+  if (!Prefetch)
+    // Heat accrues on every demand touch — hit or miss — so the signal
+    // tracks the access pattern, not the cache's current luck.
+    Heat->touch(Id, Paged ? FrameFunc[Id] : Id);
+
   FrameRegistry::Info I;
   FaultOutcome Out = Reg->fault(
-      keyOf(Id), Pin, Held, Prefetch,
+      keyOf(Id), Prefetch,
       [&](bool &DecoderRan) -> FaultOutcome {
         FetchMetrics M;
         FaultOutcome R = [&]() -> FaultOutcome {
@@ -714,31 +708,7 @@ CodeStore::FaultOutcome CodeStore::registryFault(uint32_t Id, bool Pin,
   return Out;
 }
 
-CodeStore::FaultOutcome CodeStore::faultImpl(uint32_t Id, bool Pin,
-                                             bool Prefetch) {
-  if (Id >= frameCount())
-    return DecodeError("store: frame id " + std::to_string(Id) +
-                       " out of range");
-  if (!Prefetch)
-    // Heat accrues on every demand touch — hit or miss — so the signal
-    // tracks the access pattern, not the cache's current luck.
-    Heat->touch(Id, Paged ? FrameFunc[Id] : Id);
-  if (!Pin)
-    return registryFault(Id, /*Pin=*/false, /*Held=*/false, Prefetch);
-
-  // Pinning fault: PinMu serializes this tenant's pin bookkeeping so
-  // two threads pinning the same frame take exactly one registry
-  // reference. Lock order is always tenant PinMu -> registry cache
-  // lock, never the reverse.
-  std::lock_guard<std::mutex> L(PinMu);
-  FaultOutcome Out =
-      registryFault(Id, /*Pin=*/true, PinnedByMe[Id] != 0, Prefetch);
-  if (Out.ok())
-    PinnedByMe[Id] = 1;
-  return Out;
-}
-
-CodeStore::FaultOutcome CodeStore::assembleFunction(uint32_t Fn, bool Pin) {
+CodeStore::FaultOutcome CodeStore::assembleFunction(uint32_t Fn) {
   const FuncRecord &Rec = Funcs[Fn];
   auto F = std::make_shared<vm::VMFunction>();
   F->Name = Rec.Name;
@@ -749,7 +719,7 @@ CodeStore::FaultOutcome CodeStore::assembleFunction(uint32_t Fn, bool Pin) {
   // decoded pages, so a reserve bomb never allocates ahead of content.
   F->Code.reserve(std::min<size_t>(Rec.CodeLen, size_t(1) << 20));
   for (uint32_t K = 0; K != Rec.Pages.size(); ++K) {
-    FaultOutcome R = faultImpl(Rec.FirstPage + K, Pin, /*Prefetch=*/false);
+    FaultOutcome R = faultImpl(Rec.FirstPage + K, /*Prefetch=*/false);
     if (!R.ok())
       return R.error();
     const std::shared_ptr<const vm::VMFunction> &Body = R.value();
@@ -763,8 +733,8 @@ Result<std::shared_ptr<const vm::VMFunction>> CodeStore::fault(uint32_t Id) {
     return DecodeError("store: function id " + std::to_string(Id) +
                        " out of range");
   if (!Paged)
-    return faultImpl(Id, /*Pin=*/false, /*Prefetch=*/false);
-  return assembleFunction(Id, /*Pin=*/false);
+    return faultImpl(Id, /*Prefetch=*/false);
+  return assembleFunction(Id);
 }
 
 Result<vm::CodeSpan> CodeStore::faultSpan(uint32_t Fn, uint32_t Idx) {
@@ -773,7 +743,7 @@ Result<vm::CodeSpan> CodeStore::faultSpan(uint32_t Fn, uint32_t Idx) {
                        " out of range");
   vm::CodeSpan S;
   if (!Paged) {
-    FaultOutcome R = faultImpl(Fn, /*Pin=*/false, /*Prefetch=*/false);
+    FaultOutcome R = faultImpl(Fn, /*Prefetch=*/false);
     if (!R.ok())
       return R.error();
     std::shared_ptr<const vm::VMFunction> B = R.take();
@@ -788,8 +758,7 @@ Result<vm::CodeSpan> CodeStore::faultSpan(uint32_t Fn, uint32_t Idx) {
   }
   const FuncRecord &Rec = Funcs[Fn];
   uint32_t K = pageIndexOf(Rec, Idx);
-  FaultOutcome R = faultImpl(Rec.FirstPage + K, /*Pin=*/false,
-                             /*Prefetch=*/false);
+  FaultOutcome R = faultImpl(Rec.FirstPage + K, /*Prefetch=*/false);
   if (!R.ok())
     return R.error();
   std::shared_ptr<const vm::VMFunction> B = R.take();
@@ -802,35 +771,6 @@ Result<vm::CodeSpan> CodeStore::faultSpan(uint32_t Fn, uint32_t Idx) {
   S.Name = &Rec.Name;
   S.Keep = std::move(B);
   return S;
-}
-
-Result<std::shared_ptr<const vm::VMFunction>> CodeStore::pin(uint32_t Id) {
-  if (Id >= Funcs.size())
-    return DecodeError("store: function id " + std::to_string(Id) +
-                       " out of range");
-  if (!Paged)
-    return faultImpl(Id, /*Pin=*/true, /*Prefetch=*/false);
-  return assembleFunction(Id, /*Pin=*/true);
-}
-
-void CodeStore::unpinEntry(uint32_t Id) {
-  std::lock_guard<std::mutex> L(PinMu);
-  if (!PinnedByMe[Id])
-    return;
-  PinnedByMe[Id] = 0;
-  Reg->unpin(keyOf(Id));
-}
-
-void CodeStore::unpin(uint32_t Id) {
-  if (Id >= Funcs.size())
-    return;
-  if (!Paged) {
-    unpinEntry(Id);
-    return;
-  }
-  const FuncRecord &Rec = Funcs[Id];
-  for (uint32_t K = 0; K != Rec.Pages.size(); ++K)
-    unpinEntry(Rec.FirstPage + K);
 }
 
 void CodeStore::warmFrames(const std::vector<uint32_t> &Frames,
@@ -851,7 +791,7 @@ void CodeStore::warmFrames(const std::vector<uint32_t> &Frames,
   for (uint32_t Id : Frames)
     Pool.submit([this, Id] {
       try {
-        (void)faultImpl(Id, /*Pin=*/false, /*Prefetch=*/true);
+        (void)faultImpl(Id, /*Prefetch=*/true);
       } catch (...) {
         // Pool jobs must not throw; failures are already counted in
         // DecodeErrors by the fault path.
@@ -1091,7 +1031,6 @@ StoreStats CodeStore::stats() const {
   T.DecodedBytes = R.DecodedBytes;
   T.ResidentBytes = R.ResidentBytes;
   T.ResidentFunctions = R.ResidentFrames;
-  T.PinnedFunctions = R.PinnedFrames;
   return T;
 }
 

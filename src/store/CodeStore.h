@@ -14,8 +14,8 @@
 ///
 /// Architecture. A CodeStore is a per-tenant *view* over a
 /// store::FrameRegistry (store/FrameRegistry.h), which owns the cache
-/// proper: one byte-budgeted, pin-aware LRU of decoded bodies
-/// with single-flight dedup, keyed by (container content hash, frame
+/// proper: one byte-budgeted LRU of decoded bodies with single-flight
+/// dedup, keyed by (container content hash, frame
 /// id). By default each store constructs a private registry sized from
 /// its StoreOptions — single-tenant behavior, indistinguishable from a
 /// store owning its cache outright. Injecting a registry via
@@ -26,8 +26,6 @@
 ///   - its FrameSource and RetryPolicy — the faulting tenant fetches
 ///     compressed bytes through its *own* transport, so two tenants of
 ///     one module may pull frames from different media;
-///   - its pins, counted per holder in the registry so tenants cannot
-///     release each other's;
 ///   - its traffic counters: Hits/Misses/SingleFlightWaits and the
 ///     fetch bill are attributed per tenant, while decode execution
 ///     counters and residency gauges are registry-global (a shared
@@ -41,7 +39,7 @@
 /// branch-label boundaries into basic blocks, greedily packs adjacent
 /// blocks into *pages* of roughly that many fixed-width code bytes, and
 /// compresses each page as its own frame; the manifest carries a
-/// per-function page table. The cache then faults, evicts, pins, and
+/// per-function page table. The cache then faults, evicts and
 /// single-flights at page granularity: faultSpan() decodes only the page
 /// holding the requested instruction (the vm::FunctionResolver hook the
 /// interpreter drives), while fault() assembles the full body from its
@@ -81,7 +79,7 @@
 /// per-fault error, never anyone else's problem).
 ///
 /// Frames live behind a FrameSource (store/FrameSource.h), so the same
-/// fault path serves frames held in memory (LocalFrameSource), read on
+/// fault path serves frames kept in memory (LocalFrameSource), read on
 /// demand from a container file (FileFrameSource), or fetched over a
 /// simulated flaky link (SimulatedRemoteFrameSource). Fetches run under
 /// the store's RetryPolicy: transient transport failures are retried
@@ -121,7 +119,7 @@ namespace store {
 
 /// Store construction knobs.
 struct StoreOptions {
-  /// Total decoded-bytes budget for the store's *private* registry, held
+  /// Total decoded-bytes budget for the store's *private* registry, kept
   /// by one LRU. The budget is a target, not a hard cap: the entry
   /// faulted in most recently is never evicted, so any budget >= 1
   /// frame still executes, and a budget that holds every frame never
@@ -147,12 +145,6 @@ struct StoreOptions {
   /// primary chain the container stays manifest v3, bit-identical to a
   /// build without candidates.
   std::vector<std::string> CandidateChains;
-  /// build() only, with CandidateChains: reject candidate chains whose
-  /// modeled per-frame decode time exceeds this many nanoseconds (rates
-  /// come from the codecs' own snapshot() deltas over the trial
-  /// traffic). Zero means unlimited, which keeps the selection fully
-  /// deterministic — a pure compressed-size comparison.
-  uint64_t FrameDecodeBudgetNanos = 0;
   /// How frame fetches behave on a flaky source (ignored by sources that
   /// cannot fail transiently).
   RetryPolicy Retry;
@@ -204,7 +196,6 @@ struct StoreStats {
   // Gauges (current state, unaffected by resetStats; registry-global).
   uint64_t ResidentBytes = 0;
   uint64_t ResidentFunctions = 0; ///< Resident cache entries (functions or pages).
-  uint64_t PinnedFunctions = 0;   ///< Pinned cache entries (functions or pages).
 
   double hitRate() const {
     uint64_t Total = Hits + Misses;
@@ -213,8 +204,8 @@ struct StoreStats {
 };
 
 /// A module's functions as compressed frames with a decode-on-fault
-/// cache in front. Thread-safe: fault/faultSpan/pin/prefetch/stats may
-/// be called concurrently, on one store or on several tenant views of
+/// cache in front. Thread-safe: fault/faultSpan/prefetch/stats may be
+/// called concurrently, on one store or on several tenant views of
 /// one shared registry.
 class CodeStore {
 public:
@@ -227,8 +218,6 @@ public:
                                           const std::string &ChainSpec,
                                           StoreOptions Opts,
                                           std::string &Error);
-
-  ~CodeStore();
 
   /// Serializes manifest + frames into a CCPK container, fetching every
   /// frame from the source. Fails typed if the source cannot produce
@@ -297,7 +286,7 @@ public:
   /// Where this store's frames come from.
   const FrameSource &source() const { return *Source; }
 
-  /// Total compressed frame bytes held by the store's source.
+  /// Total compressed frame bytes kept by the store's source.
   size_t frameBytes() const { return Source->frameBytes(); }
 
   /// The container content hash this store's frames are registered
@@ -332,13 +321,6 @@ public:
   /// function clamps to the last page, so the interpreter can trap on
   /// the out-of-range Pc itself.
   Result<vm::CodeSpan> faultSpan(uint32_t Fn, uint32_t Idx);
-
-  /// Faults \p Id in and marks it pinned (every page of it, when
-  /// paged); pinned entries are never evicted. Pins are per tenant: two
-  /// stores pinning the same shared frame hold independent references,
-  /// and unpin releases only this store's.
-  Result<std::shared_ptr<const vm::VMFunction>> pin(uint32_t Id);
-  void unpin(uint32_t Id);
 
   /// Warms \p Ids (function ids; all their pages when paged) through
   /// \p Pool; call Pool.wait() to block until done. Prefetch warms are
@@ -437,18 +419,12 @@ private:
   /// Faults one cache entry (a function frame, or a page frame when
   /// paged). \p Prefetch suppresses the demand Hit/Miss/wait counters
   /// and counts successful decodes as PrefetchDecodes.
-  FaultOutcome faultImpl(uint32_t Id, bool Pin, bool Prefetch);
-  /// The registry round trip for one frame: fetch+decode callback,
-  /// traffic attribution. \p Held says this tenant already pins \p
-  /// Id. Caller holds PinMu when \p Pin is set.
-  FaultOutcome registryFault(uint32_t Id, bool Pin, bool Held,
-                             bool Prefetch);
+  FaultOutcome faultImpl(uint32_t Id, bool Prefetch);
   /// Faults every page of \p Fn and concatenates them into a full body.
-  FaultOutcome assembleFunction(uint32_t Fn, bool Pin);
+  FaultOutcome assembleFunction(uint32_t Fn);
   /// Fetches frame \p Id from the source (under Opts.Retry, charging \p
   /// M) and decodes it through the chain.
   FaultOutcome decodeFrame(uint32_t Id, FetchMetrics &M);
-  void unpinEntry(uint32_t Id);
   bool entryResident(uint32_t Id) const;
   /// True when frame \p Id needs no warm: it is resident, or a warm of
   /// it is already under way.
@@ -536,13 +512,6 @@ private:
   };
   mutable std::mutex SuccMu;
   std::shared_ptr<const SuccessorGraph> Succ;
-
-  /// Per-tenant pin bookkeeping: which frames this store pinned.
-  /// Guarded by PinMu, which is held across a pinning fault so two
-  /// threads pinning the same frame on one tenant take exactly one
-  /// registry reference.
-  mutable std::mutex PinMu;
-  std::vector<uint8_t> PinnedByMe;
 
   /// Per-frame "a warm is under way" flags, set by warmFrames before it
   /// hints the source and cleared by the pool job once its fault is

@@ -60,11 +60,10 @@ FrameRegistry::registerModule(uint64_t Hash, const ModuleIdent &Id) {
   return Result<std::shared_ptr<ModuleHeat>>(It->second);
 }
 
-FrameRegistry::Outcome FrameRegistry::fault(const FrameKey &K, bool AddPin,
-                                            bool Held, bool Prefetch,
+FrameRegistry::Outcome FrameRegistry::fault(const FrameKey &K, bool Prefetch,
                                             const Decoder &Decode, Info &I) {
   Outcome Out = C.fault(
-      K, AddPin, Held,
+      K,
       [&]() -> Outcome {
         // Leader: the tenant fetches through its own transport and
         // decodes; the registry bills the decode once, process-wide.
@@ -100,7 +99,6 @@ RegistryStats FrameRegistry::stats() const {
   S.Evictions = FC.Evictions;
   S.ResidentBytes = FC.ResidentBytes;
   S.ResidentFrames = FC.ResidentEntries;
-  S.PinnedFrames = FC.PinnedEntries;
   {
     std::lock_guard<std::mutex> L(ModMu);
     S.Modules = Modules.size();

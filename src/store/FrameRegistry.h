@@ -17,7 +17,7 @@
 /// Division of labor with CodeStore:
 ///   - the registry owns what is inherently per-module-content or
 ///     process-global: the FlightCache of decoded bodies (one
-///     byte-budgeted pin-aware LRU + single-flight), decode execution
+///     byte-budgeted LRU + single-flight), decode execution
 ///     counters (Decodes, DecodeNanos, DecodedBytes, evictions), and
 ///     the per-module heat tables (demand-touch counters gate the
 ///     tiered JIT, so two tenants hammering one module pool their
@@ -25,10 +25,9 @@
 ///   - the CodeStore tenant owns what is per-client: its FrameSource
 ///     and RetryPolicy (the registry never fetches — the faulting
 ///     tenant fetches through *its own* transport and hands the
-///     registry a decode callback), its pins (counted per holder in the
-///     FlightCache so tenants cannot release each other's), and its
-///     traffic counters (hits/misses/waits/fetch bill), classified
-///     from the per-call FlightCache::Info.
+///     registry a decode callback) and its traffic counters
+///     (hits/misses/waits/fetch bill), classified from the per-call
+///     FlightCache::Info.
 ///
 /// Sharing is safe because decoded bodies are immutable
 /// (shared_ptr<const VMFunction>) and keys are content-addressed: a
@@ -73,9 +72,9 @@ namespace store {
 /// a CodeStore joining a shared registry brings its own FrameSource and
 /// RetryPolicy but inherits the registry's budget.
 struct RegistryOptions {
-  /// Total decoded-bytes budget across every tenant and module, held by
+  /// Total decoded-bytes budget across every tenant and module, kept by
   /// one LRU. A target, not a hard cap: the entry faulted in most
-  /// recently (and any pinned entry) is never evicted.
+  /// recently is never evicted.
   size_t CacheBudgetBytes = 1u << 20;
 };
 
@@ -93,7 +92,6 @@ struct RegistryStats {
   // Gauges (current state, unaffected by resetStats).
   uint64_t ResidentBytes = 0;
   uint64_t ResidentFrames = 0;
-  uint64_t PinnedFrames = 0;
   uint64_t Modules = 0; ///< Distinct container hashes registered.
 };
 
@@ -196,14 +194,13 @@ public:
                                                      const ModuleIdent &Id);
 
   /// Faults (Hash, Frame): returns the resident body or runs \p Decode
-  /// exactly once across all concurrent tenants. \p AddPin/\p Held
-  /// and the returned \p I are FlightCache semantics — the caller
-  /// attributes I.Hits/Misses/Waits to its own counters. \p Prefetch
-  /// only affects how a *led* decode is billed (PrefetchDecodes).
-  Outcome fault(const FrameKey &K, bool AddPin, bool Held, bool Prefetch,
-                const Decoder &Decode, Info &I);
+  /// exactly once across all concurrent tenants. The returned \p I is
+  /// FlightCache semantics — the caller attributes I.Hits/Misses/Waits
+  /// to its own counters. \p Prefetch only affects how a *led* decode
+  /// is billed (PrefetchDecodes).
+  Outcome fault(const FrameKey &K, bool Prefetch, const Decoder &Decode,
+                Info &I);
 
-  void unpin(const FrameKey &K) { C.unpin(K); }
   bool resident(const FrameKey &K) const { return C.resident(K); }
 
   RegistryStats stats() const;

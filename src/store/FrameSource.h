@@ -9,7 +9,7 @@
 /// function's compressed frame on demand, so the store no longer
 /// assumes every frame is resident in memory. Three backends:
 ///
-///   - LocalFrameSource: frames held in memory (the original store
+///   - LocalFrameSource: frames kept in memory (the original store
 ///     behavior); fetches are free and infallible.
 ///   - FileFrameSource: frames read on demand from a CCPK container
 ///     file through an offset table built by scanning the frame
@@ -233,7 +233,7 @@ constexpr uint32_t ManifestFrameId = ~0u;
 // LocalFrameSource
 //===----------------------------------------------------------------------===//
 
-/// Frames held in memory; fetches are copies and never fail. This is
+/// Frames kept in memory; fetches are copies and never fail. This is
 /// the CodeStore's original behavior, and the origin most remote
 /// simulations wrap.
 class LocalFrameSource final : public FrameSource {

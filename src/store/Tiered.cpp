@@ -45,14 +45,6 @@ bool TieredResolver::enterNative(vm::Machine &M, uint32_t &Fn, uint32_t &Idx,
   return true;
 }
 
-TieredResolver::UnitPtr TieredResolver::unitFor(uint32_t Fn) {
-  // Called at tier entry and at every native cross-function transfer:
-  // the hotness gate applies here too, so a callee that crossed the
-  // threshold compiles at the call boundary and control never has to
-  // leave the tier for it.
-  return unitForExecution(Fn, /*Force=*/false, /*Pin=*/false);
-}
-
 Result<TieredResolver::UnitPtr> TieredResolver::compileUnit(uint32_t Fn) {
   // CompileNanos covers decode + generate, success or failure: the
   // tier paid that wall time either way. The store's own single-flight
@@ -75,23 +67,22 @@ Result<TieredResolver::UnitPtr> TieredResolver::compileUnit(uint32_t Fn) {
   return Result<UnitPtr>(std::move(Unit));
 }
 
-TieredResolver::UnitPtr TieredResolver::unitForExecution(uint32_t Fn,
-                                                         bool Force,
-                                                         bool Pin) {
+TieredResolver::UnitPtr TieredResolver::unitFor(uint32_t Fn) {
+  // Called at tier entry and at every native cross-function transfer:
+  // the hotness gate applies here too, so a callee that crossed the
+  // threshold compiles at the call boundary and control never has to
+  // leave the tier for it.
   if (Fn >= Store.functionCount())
     return nullptr;
-  std::unique_lock<std::mutex> L(Mu);
-  if (Failed.count(Fn))
-    return nullptr;
-  bool Held = Pin && PinHeld.count(Fn);
-  if (!Pin)
-    // The non-pin fast path does not need the resolver lock; only pin
-    // bookkeeping must be serialized across the fault.
-    L.unlock();
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    if (Failed.count(Fn))
+      return nullptr;
+  }
   Cache::Info I;
   Result<UnitPtr> Out = Units.fault(
-      Fn, Pin, Held, [&] { return compileUnit(Fn); }, I,
-      [&] { return Force || Store.functionHeat(Fn) >= TO.HotThreshold; });
+      Fn, [&] { return compileUnit(Fn); }, I,
+      [&] { return Store.functionHeat(Fn) >= TO.HotThreshold; });
   UnitHits.fetch_add(I.Hits, std::memory_order_relaxed);
   SingleFlightWaits.fetch_add(I.Waits, std::memory_order_relaxed);
   if (!Out.ok()) {
@@ -99,29 +90,12 @@ TieredResolver::UnitPtr TieredResolver::unitForExecution(uint32_t Fn,
     // A led compile that failed is: remember it so a hot broken
     // function does not retry its decode at every entry.
     if (I.Led) {
-      if (!L.owns_lock())
-        L.lock();
+      std::lock_guard<std::mutex> L(Mu);
       Failed.insert(Fn);
     }
     return nullptr;
   }
-  if (Pin)
-    PinHeld.insert(Fn); // Mu still held on this path.
   return Out.take();
-}
-
-bool TieredResolver::pinCompiled(uint32_t Fn) {
-  return unitForExecution(Fn, /*Force=*/true, /*Pin=*/true) != nullptr;
-}
-
-void TieredResolver::unpinCompiled(uint32_t Fn) {
-  std::lock_guard<std::mutex> L(Mu);
-  if (PinHeld.erase(Fn))
-    Units.unpin(Fn);
-}
-
-bool TieredResolver::isCompiled(uint32_t Fn) const {
-  return Units.resident(Fn);
 }
 
 TierStats TieredResolver::tierStats() const {
@@ -139,7 +113,6 @@ TierStats TieredResolver::tierStats() const {
   S.Evictions = C.Evictions;
   S.ResidentUnits = C.ResidentEntries;
   S.ResidentBytes = C.ResidentBytes;
-  S.PinnedUnits = C.PinnedEntries;
   return S;
 }
 

@@ -15,18 +15,16 @@
 /// the decoded body to a native::NUnit when it has, and runs compiled
 /// functions on the threaded backend until control reaches a cold one.
 ///
-/// Compiled units live in their own pin-aware LRU cache beside the
-/// decode cache — the same store::FlightCache engine the FrameRegistry
-/// runs on, instantiated over (function id -> compiled unit):
-/// byte-budgeted, single-flighted (N threads racing a hot
-/// function produce exactly one compile), with pinCompiled/unpinCompiled
-/// mirroring the decode cache's pin semantics and the hotness gate
-/// expressed as the cache's admission gate (consulted only when a call
-/// would become the compile leader). Fall-back rules: a function with
-/// no unit (cold, over-budget-evicted, or failed to decode) interprets
-/// via the span path; traps and halts inside compiled code commit back
-/// to the Machine so RunResults are byte-identical to interpret-only
-/// execution.
+/// Compiled units live in their own LRU cache beside the decode cache —
+/// the same store::FlightCache engine the FrameRegistry runs on,
+/// instantiated over (function id -> compiled unit): byte-budgeted,
+/// single-flighted (N threads racing a hot function produce exactly one
+/// compile), with the hotness gate expressed as the cache's admission
+/// gate (consulted only when a call would become the compile leader).
+/// Fall-back rules: a function with no unit (cold, over-budget-evicted,
+/// or failed to decode) interprets via the span path; traps and halts
+/// inside compiled code commit back to the Machine so RunResults are
+/// byte-identical to interpret-only execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,8 +50,7 @@ struct TierOptions {
   /// least this. 0 compiles at first entry.
   uint64_t HotThreshold = 8;
   /// Byte budget for compiled units. Like the decode cache's budget,
-  /// it is a target: the most recently compiled unit is never evicted,
-  /// and pinned units are skipped.
+  /// it is a target: the most recently compiled unit is never evicted.
   size_t CompiledBudgetBytes = 16u << 20;
 };
 
@@ -75,7 +72,6 @@ struct TierStats {
   // Gauges (current state, unaffected by resetTierStats).
   uint64_t ResidentUnits = 0;
   uint64_t ResidentBytes = 0;
-  uint64_t PinnedUnits = 0;
 };
 
 /// StoreBackedResolver plus the native tier. Thread-safe like its base:
@@ -96,15 +92,6 @@ public:
   bool enterNative(vm::Machine &M, uint32_t &Fn, uint32_t &Idx,
                    uint64_t &Steps) override;
 
-  /// Compiles \p Fn now (ignoring HotThreshold) and marks its unit
-  /// pinned: never evicted over budget. Returns false if the body
-  /// cannot be decoded.
-  bool pinCompiled(uint32_t Fn);
-  void unpinCompiled(uint32_t Fn);
-
-  /// True if \p Fn's unit is resident right now (no LRU effect).
-  bool isCompiled(uint32_t Fn) const;
-
   const TierOptions &tierOptions() const { return TO; }
   TierStats tierStats() const;
   /// Zeroes the monotonic counters; residency gauges are preserved.
@@ -114,21 +101,16 @@ private:
   using UnitPtr = std::shared_ptr<const native::NUnit>;
   using Cache = FlightCache<uint32_t, UnitPtr>;
 
-  /// native::UnitSource for runTiered: cache lookup without the
-  /// hotness gate (already-compiled functions stay native even when an
-  /// entry's heat is below threshold).
+  /// native::UnitSource for runTiered, and the compile path: cache
+  /// lookup, then the hotness gate and a single-flight compile through
+  /// the unit cache. A resident unit is served whatever the heat.
   UnitPtr unitFor(uint32_t Fn) override;
-
-  /// The compile path: cache lookup, hotness gate (bypassed when \p
-  /// Force), single-flight compile through the unit cache.
-  UnitPtr unitForExecution(uint32_t Fn, bool Force, bool Pin);
   /// The compile leader's callback: decode the body, generate the unit,
   /// bill the compile counters.
   Result<UnitPtr> compileUnit(uint32_t Fn);
 
   TierOptions TO;
-  /// The compiled-unit cache: one LRU under CompiledBudgetBytes, pins
-  /// always honored.
+  /// The compiled-unit cache: one LRU under CompiledBudgetBytes.
   Cache Units;
 
   // Monotonic counters, accumulated relaxed (see TierStats).
@@ -142,17 +124,12 @@ private:
   mutable std::atomic<uint64_t> NativeSteps{0};
   mutable std::atomic<uint64_t> TierTransfers{0};
 
-  /// Guards Failed and PinHeld. Held across a pinning fault (lock order
-  /// Mu -> cache locks) so two threads pinning one function take
-  /// exactly one cache reference; the compile callback touches only the
-  /// atomics above, so no cycle closes.
+  /// Guards Failed. Never taken across a unit-cache fault.
   mutable std::mutex Mu;
   /// Functions whose body failed to decode on the compile path: do not
   /// retry every entry, the interpreter's own fault will surface the
   /// typed error.
   std::unordered_set<uint32_t> Failed;
-  /// Functions this resolver holds a pin on in the unit cache.
-  std::unordered_set<uint32_t> PinHeld;
 };
 
 /// Convenience: run the store's program end-to-end with tiering.

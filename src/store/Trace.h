@@ -28,53 +28,18 @@ namespace store {
 /// running but drops events and marks the trace truncated.
 constexpr size_t DefaultMaxTraceEvents = 1u << 20;
 
-/// Wraps any FunctionResolver and appends one TraceEvent per successful
-/// span resolve — exactly the fault sequence a block-granular store
-/// would see. The native-tier hook is deliberately declined: a
-/// profiling run must observe every interpreter transfer, and the fast
-/// tier would hide them.
-class TracingResolver : public vm::FunctionResolver {
-public:
-  TracingResolver(vm::FunctionResolver &Inner, pipeline::ExecutionTrace &Out,
-                  size_t MaxEvents = DefaultMaxTraceEvents)
-      : Inner(Inner), Trace(Out), MaxEvents(MaxEvents) {
-    Trace.FuncCount = Inner.functionCount();
-  }
-
-  uint32_t functionCount() const override { return Inner.functionCount(); }
-
-  std::shared_ptr<const vm::VMFunction> resolve(uint32_t Fn,
-                                                std::string &Err) override {
-    return Inner.resolve(Fn, Err);
-  }
-
-  bool resolveSpan(uint32_t Fn, uint32_t Idx, vm::CodeSpan &Out,
-                   std::string &Err) override {
-    if (!Inner.resolveSpan(Fn, Idx, Out, Err))
-      return false;
-    if (Trace.Events.size() < MaxEvents)
-      Trace.Events.push_back(pipeline::TraceEvent{Fn, Idx});
-    else
-      Trace.Truncated = true;
-    return true;
-  }
-
-private:
-  vm::FunctionResolver &Inner;
-  pipeline::ExecutionTrace &Trace;
-  size_t MaxEvents;
-};
-
 /// A profiling run's outcome: the ordinary run result plus the trace.
 struct TraceRunResult {
   vm::RunResult Run;
   pipeline::ExecutionTrace Trace;
 };
 
-/// Runs \p P under a block-granular ProgramSpanResolver with a
-/// TracingResolver on top: the recorded events are the block-entry
-/// sequence of the run, deterministic for a deterministic program.
-/// Opts.Resolver is overwritten.
+/// Runs \p P under a block-granular recording resolver: every span
+/// resolve the interpreter makes is one basic block (vm::blockCuts) of
+/// the eager program, so the recorded events are the block-entry
+/// sequence of the run, deterministic for a deterministic program. The
+/// native tier is never entered: a profiling run must observe every
+/// interpreter transfer. Opts.Resolver is overwritten.
 TraceRunResult recordTrace(const vm::VMProgram &P,
                            vm::RunOptions Opts = vm::RunOptions(),
                            size_t MaxEvents = DefaultMaxTraceEvents);

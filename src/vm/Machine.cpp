@@ -8,7 +8,6 @@
 
 #include "support/Support.h"
 
-#include <algorithm>
 #include <cstring>
 
 using namespace ccomp;
@@ -34,57 +33,6 @@ bool FunctionResolver::resolveSpan(uint32_t Fn, uint32_t Idx, CodeSpan &Out,
   Out.Labels = &H->LabelPos;
   Out.Name = &H->Name;
   Out.Keep = std::move(H);
-  return true;
-}
-
-ProgramSpanResolver::ProgramSpanResolver(const VMProgram &P) : Prog(P) {
-  Cuts.reserve(P.Functions.size());
-  for (const VMFunction &F : P.Functions)
-    Cuts.push_back(blockCuts(F.LabelPos, F.Code.size()));
-}
-
-uint32_t ProgramSpanResolver::functionCount() const {
-  return static_cast<uint32_t>(Prog.Functions.size());
-}
-
-std::shared_ptr<const VMFunction> ProgramSpanResolver::resolve(uint32_t Fn,
-                                                               std::string &Err) {
-  if (Fn >= Prog.Functions.size()) {
-    Err = "function index out of range";
-    return nullptr;
-  }
-  // Non-owning alias: the program outlives the resolver by contract.
-  return std::shared_ptr<const VMFunction>(std::shared_ptr<const VMFunction>(),
-                                           &Prog.Functions[Fn]);
-}
-
-bool ProgramSpanResolver::resolveSpan(uint32_t Fn, uint32_t Idx, CodeSpan &Out,
-                                      std::string &Err) {
-  if (Fn >= Prog.Functions.size()) {
-    Err = "function index out of range";
-    return false;
-  }
-  const VMFunction &F = Prog.Functions[Fn];
-  const std::vector<uint32_t> &C = Cuts[Fn];
-  uint32_t Len = static_cast<uint32_t>(F.Code.size());
-  if (Len == 0) {
-    Out = CodeSpan{};
-    Out.Labels = &F.LabelPos;
-    Out.Name = &F.Name;
-    return true;
-  }
-  // Clamp like a paged resolver: an Idx at/past the end serves the last
-  // block and the interpreter traps on Pc >= FuncLen itself.
-  uint32_t I = Idx < Len ? Idx : Len - 1;
-  auto It = std::upper_bound(C.begin(), C.end(), I);
-  uint32_t Block = static_cast<uint32_t>(It - C.begin()) - 1;
-  Out.Keep.reset();
-  Out.Code = F.Code.data() + C[Block];
-  Out.Begin = C[Block];
-  Out.End = C[Block + 1];
-  Out.FuncLen = Len;
-  Out.Labels = &F.LabelPos;
-  Out.Name = &F.Name;
   return true;
 }
 

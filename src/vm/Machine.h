@@ -107,28 +107,6 @@ public:
                            uint64_t &Steps);
 };
 
-/// A block-granular resolver over a fully decoded program: resolveSpan
-/// hands out exactly the basic block (blockCuts) containing the
-/// requested instruction, so every control transfer that leaves the
-/// current block re-resolves — the same fault pattern a paged CodeStore
-/// would see. This is what the trace recorder runs under to observe
-/// block-level transfers without any store in the loop. The program must
-/// outlive the resolver; spans alias its storage (non-owning Keep).
-class ProgramSpanResolver : public FunctionResolver {
-public:
-  explicit ProgramSpanResolver(const VMProgram &P);
-
-  uint32_t functionCount() const override;
-  std::shared_ptr<const VMFunction> resolve(uint32_t Fn,
-                                            std::string &Err) override;
-  bool resolveSpan(uint32_t Fn, uint32_t Idx, CodeSpan &Out,
-                   std::string &Err) override;
-
-private:
-  const VMProgram &Prog;
-  std::vector<std::vector<uint32_t>> Cuts; ///< Per-function block cuts.
-};
-
 /// Optional mapping from (function, instruction) to code byte offsets in
 /// some concrete encoding, used for working-set / paging measurements.
 struct CodeLayout {

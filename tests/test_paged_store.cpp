@@ -7,10 +7,11 @@
 // The paged store's promises: execution out of page-granular faults is
 // byte-for-byte identical to eager full decode for every per-function
 // codec, at any page-size target and any budget; a function assembled
-// from its pages equals the unpaged store's decode exactly; pinned pages
-// survive eviction; N concurrent faults on one page perform exactly one
-// decode; and a corrupt page fails its own faults recoverably while the
-// function's other pages — and every other function — stay servable.
+// from its pages equals the unpaged store's decode exactly, even when a
+// 1-byte budget evicts its pages as they are assembled; N concurrent
+// faults on one page perform exactly one decode; and a corrupt page
+// fails its own faults recoverably while the function's other pages —
+// and every other function — stay servable.
 //
 //===----------------------------------------------------------------------===//
 
@@ -143,7 +144,9 @@ TEST(PagedStore, ExecutionMatchesEagerAtAnyPageSizeAndBudget) {
 
 // fault(Fn) on a paged store assembles the body from its pages; the
 // result must equal the unpaged store's decode of the same function
-// exactly — name, frame size, label table, and every instruction.
+// exactly — name, frame size, label table, and every instruction. At a
+// 1-byte budget each page evicts the one before it, so only the last
+// page of a multi-page function is left resident.
 TEST(PagedStore, AssembledFunctionMatchesUnpagedDecode) {
   vm::VMProgram P = buildVM(syntheticSource(8));
   for (const char *Chain : PerFunctionChains) {
@@ -152,8 +155,11 @@ TEST(PagedStore, AssembledFunctionMatchesUnpagedDecode) {
     StoreOptions PagedOpts;
     PagedOpts.PageTargetBytes = 64; // Small pages: many per function.
     std::unique_ptr<CodeStore> Paged = mustBuildStore(P, Chain, PagedOpts);
+    PagedOpts.CacheBudgetBytes = 1;
+    std::unique_ptr<CodeStore> Tight = mustBuildStore(P, Chain, PagedOpts);
     ASSERT_NE(Whole, nullptr);
     ASSERT_NE(Paged, nullptr);
+    ASSERT_NE(Tight, nullptr);
     EXPECT_GT(Paged->frameCount(), Paged->functionCount())
         << Chain << ": 64-byte pages must split some function";
 
@@ -164,6 +170,19 @@ TEST(PagedStore, AssembledFunctionMatchesUnpagedDecode) {
       ASSERT_TRUE(B.ok()) << Chain << ": " << B.error().message();
       expectSameFunction(*A.value(), *B.value(),
                          std::string(Chain) + " fn " + std::to_string(I));
+
+      uint64_t EvictionsBefore = Tight->stats().Evictions;
+      Result<std::shared_ptr<const vm::VMFunction>> C = Tight->fault(I);
+      ASSERT_TRUE(C.ok()) << Chain << ": " << C.error().message();
+      expectSameFunction(*A.value(), *C.value(),
+                         std::string(Chain) + " fn " + std::to_string(I) +
+                             " at a 1-byte budget");
+      EXPECT_EQ(Tight->stats().ResidentFunctions, 1u) << Chain;
+      EXPECT_EQ(Tight->isResident(I), Tight->pageCountOf(I) == 1)
+          << Chain << " fn " << I;
+      EXPECT_GE(Tight->stats().Evictions - EvictionsBefore,
+                uint64_t(Tight->pageCountOf(I) - 1))
+          << Chain << " fn " << I;
     }
   }
 }
@@ -240,37 +259,6 @@ TEST(PagedStore, FaultSpanServesOnePageAndClamps) {
 
   // Out-of-range function ids stay typed errors.
   EXPECT_FALSE(S->faultSpan(S->functionCount(), 0).ok());
-}
-
-TEST(PagedStore, PinnedPagesSurviveEviction) {
-  vm::VMProgram P = buildVM(syntheticSource(8));
-  ASSERT_GE(P.Functions.size(), 4u);
-  StoreOptions Opts;
-  Opts.CacheBudgetBytes = 1; // Every insertion is over budget.
-  Opts.PageTargetBytes = 64;
-  std::unique_ptr<CodeStore> S = mustBuildStore(P, "vm-compact", Opts);
-  ASSERT_NE(S, nullptr);
-
-  // Pin a multi-page function: every page must stay resident while
-  // traffic on other functions churns the 1-byte cache.
-  uint32_t Fn = 0;
-  while (Fn != S->functionCount() && S->pageCountOf(Fn) < 2)
-    ++Fn;
-  ASSERT_NE(Fn, S->functionCount());
-  ASSERT_TRUE(S->pin(Fn).ok());
-  EXPECT_EQ(S->stats().PinnedFunctions, uint64_t(S->pageCountOf(Fn)));
-  EXPECT_TRUE(S->isResident(Fn));
-
-  for (uint32_t I = 0; I != S->functionCount(); ++I)
-    if (I != Fn)
-      ASSERT_TRUE(S->fault(I).ok());
-  EXPECT_TRUE(S->isResident(Fn)) << "pinned pages are never victims";
-
-  S->unpin(Fn);
-  EXPECT_EQ(S->stats().PinnedFunctions, 0u);
-  uint32_t Other = Fn == 0 ? 1 : 0;
-  ASSERT_TRUE(S->fault(Other).ok());
-  EXPECT_FALSE(S->isResident(Fn)) << "unpin makes the pages evictable";
 }
 
 // 8 threads resolving the same cold instruction: exactly one decode of

@@ -6,10 +6,9 @@
 //
 // The per-page selection promises: a store built with candidate chains
 // never produces more compressed bytes than any of its chains used
-// globally; the selection is deterministic (budget 0); a non-uniform
-// outcome round-trips through a manifest v4 image that executes
-// byte-identically to eager; a uniform outcome (duplicate candidates,
-// or a decode budget that rejects every alternative) normalizes to a
+// globally; the selection is deterministic; a non-uniform outcome
+// round-trips through a manifest v4 image that executes byte-identically
+// to eager; a uniform outcome (duplicate candidates) normalizes to a
 // container bit-identical to a plain single-chain build; crafted v4
 // manifests fail typed; and concurrent faults through mixed per-frame
 // chains decode correctly under the thread sanitizer.
@@ -180,15 +179,6 @@ TEST(PerPageStore, UniformOutcomesNormalizeToV3) {
   ASSERT_NE(D, nullptr);
   EXPECT_FALSE(D->perPageChains());
   EXPECT_EQ(D->save(), BaseImage);
-
-  // A decode budget no chain can meet rejects every candidate, so each
-  // frame falls back to the primary — uniform, normalized, identical.
-  StoreOptions Starved = perPageOpts(64);
-  Starved.FrameDecodeBudgetNanos = 1;
-  std::unique_ptr<CodeStore> S = mustBuildStore(P, Primary, Starved);
-  ASSERT_NE(S, nullptr);
-  EXPECT_FALSE(S->perPageChains());
-  EXPECT_EQ(S->save(), BaseImage);
 }
 
 TEST(PerPageStore, RejectsCandidateOfDifferentBodyKind) {

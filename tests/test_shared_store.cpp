@@ -8,9 +8,10 @@
 // FrameRegistry decode each frame exactly once process-wide and produce
 // byte-identical execution to private stores at every chain, page
 // granularity, and budget; tenants of different modules never share
-// frames; pins and stats stay per tenant; and a doctored content-hash
-// claim is refused at the shared-registry door while private loads
-// stay permissive (frame corruption surfaces at fault, as ever).
+// frames; one budget holds every tenant's frames; stats stay per tenant;
+// and a doctored content-hash claim is refused at the shared-registry
+// door while private loads stay permissive (frame corruption surfaces at
+// fault, as ever).
 //
 //===----------------------------------------------------------------------===//
 
@@ -420,77 +421,14 @@ TEST(SharedStore, StatsAttributionAndResetIsolation) {
 }
 
 //===----------------------------------------------------------------------===//
-// Pins
-//===----------------------------------------------------------------------===//
-
-// Pins are per tenant: B unpinning a frame it never pinned is a no-op
-// on A's pin, and two tenants pinning the same frame hold independent
-// references — the frame stays pinned until *both* release.
-TEST(SharedStore, PinsArePerTenant) {
-  vm::VMProgram P = buildVM(syntheticSource(5));
-  std::unique_ptr<CodeStore> Built =
-      mustBuildStore(P, "brisc+flate", StoreOptions());
-  ASSERT_NE(Built, nullptr);
-  std::vector<uint8_t> Image = Built->save();
-
-  RegistryOptions RO;
-  RO.CacheBudgetBytes = 1; // Anything unpinned evicts on the next fault.
-  auto Reg = std::make_shared<FrameRegistry>(RO);
-  std::unique_ptr<CodeStore> A = mustLoadTenant(Image, Reg);
-  std::unique_ptr<CodeStore> B = mustLoadTenant(Image, Reg);
-  ASSERT_NE(A, nullptr);
-  ASSERT_NE(B, nullptr);
-
-  ASSERT_TRUE(A->pin(0).ok());
-  ASSERT_TRUE(B->pin(0).ok());
-  EXPECT_EQ(Reg->stats().PinnedFrames, 1u); // One entry, two references.
-
-  B->unpin(1); // Never pinned: no-op.
-  B->unpin(0); // Releases B's reference only.
-  // Eviction pressure: fault everything else through the 1-byte budget.
-  for (uint32_t Fn = 1; Fn != A->functionCount(); ++Fn)
-    ASSERT_TRUE(A->fault(Fn).ok());
-  EXPECT_TRUE(A->isResident(0)) << "A's pin did not survive B's unpin";
-
-  A->unpin(0);
-  for (uint32_t Fn = 1; Fn != A->functionCount(); ++Fn)
-    ASSERT_TRUE(A->fault(Fn).ok());
-  EXPECT_FALSE(A->isResident(0)) << "fully released frame never evicted";
-  EXPECT_EQ(Reg->stats().PinnedFrames, 0u);
-}
-
-// A departing tenant releases its pins: frames a dead tenant pinned
-// must not stay unevictable forever.
-TEST(SharedStore, TenantDestructorReleasesItsPins) {
-  vm::VMProgram P = buildVM(syntheticSource(5));
-  std::unique_ptr<CodeStore> Built =
-      mustBuildStore(P, "brisc+flate", StoreOptions());
-  ASSERT_NE(Built, nullptr);
-  std::vector<uint8_t> Image = Built->save();
-
-  RegistryOptions RO;
-  RO.CacheBudgetBytes = 1;
-  auto Reg = std::make_shared<FrameRegistry>(RO);
-  std::unique_ptr<CodeStore> A = mustLoadTenant(Image, Reg);
-  std::unique_ptr<CodeStore> B = mustLoadTenant(Image, Reg);
-  ASSERT_NE(A, nullptr);
-  ASSERT_NE(B, nullptr);
-
-  ASSERT_TRUE(A->pin(0).ok());
-  EXPECT_EQ(Reg->stats().PinnedFrames, 1u);
-  A.reset();
-  EXPECT_EQ(Reg->stats().PinnedFrames, 0u);
-  for (uint32_t Fn = 1; Fn != B->functionCount(); ++Fn)
-    ASSERT_TRUE(B->fault(Fn).ok());
-  EXPECT_FALSE(B->isResident(0)) << "a dead tenant's pin outlived it";
-}
-
-//===----------------------------------------------------------------------===//
 // Configuration plumbing
 //===----------------------------------------------------------------------===//
 
 // A shared tenant reports the registry's budget, not its own (ignored)
-// StoreOptions budget; a private store keeps the old contract.
+// StoreOptions budget; a private store keeps the old contract. The
+// registry's budget is one LRU over every tenant: at 1 byte, one
+// tenant's fault evicts the frame another tenant brought in, and a
+// departed tenant leaves the others serving.
 TEST(SharedStore, BudgetComesFromTheRegistry) {
   vm::VMProgram P = buildVM(syntheticSource(3));
   std::unique_ptr<CodeStore> Built =
@@ -515,6 +453,25 @@ TEST(SharedStore, BudgetComesFromTheRegistry) {
   ASSERT_TRUE(PS.ok());
   EXPECT_FALSE(PS.value()->sharesRegistry());
   EXPECT_EQ(PS.value()->cacheBudgetBytes(), 777u);
+
+  RegistryOptions Tiny;
+  Tiny.CacheBudgetBytes = 1;
+  auto TinyReg = std::make_shared<FrameRegistry>(Tiny);
+  std::unique_ptr<CodeStore> A = mustLoadTenant(Image, TinyReg);
+  std::unique_ptr<CodeStore> B = mustLoadTenant(Image, TinyReg);
+  ASSERT_NE(A, nullptr);
+  ASSERT_NE(B, nullptr);
+  ASSERT_GE(A->functionCount(), 2u);
+  ASSERT_TRUE(A->fault(0).ok());
+  ASSERT_TRUE(B->fault(1).ok());
+  EXPECT_FALSE(A->isResident(0)) << "B's fault evicts A's frame";
+  EXPECT_TRUE(A->isResident(1)) << "A sees the frame B brought in";
+  EXPECT_EQ(TinyReg->stats().ResidentFrames, 1u);
+  A.reset();
+  ASSERT_TRUE(B->fault(0).ok());
+  EXPECT_TRUE(B->isResident(0));
+  EXPECT_FALSE(B->isResident(1));
+  EXPECT_EQ(TinyReg->stats().Evictions, 2u);
 }
 
 // build() can also join a shared registry directly, and two builds of

@@ -6,10 +6,10 @@
 //
 // The store's promises: execution out of the decode-on-fault cache is
 // byte-for-byte identical to eager full decode for every per-function
-// codec at any budget; eviction follows LRU recency and honors pins;
-// N concurrent faults on one function perform exactly one decode; and a
-// corrupt frame fails its own faults recoverably while every other
-// function stays servable.
+// codec at any budget; eviction follows LRU recency and never takes the
+// entry just faulted in; N concurrent faults on one function perform
+// exactly one decode; and a corrupt frame fails its own faults
+// recoverably while every other function stays servable.
 //
 //===----------------------------------------------------------------------===//
 
@@ -245,37 +245,23 @@ TEST(Store, EvictionFollowsLruRecency) {
   EXPECT_TRUE(S->isResident(1));
   EXPECT_FALSE(S->isResident(2)) << "recency order decides the victim";
   EXPECT_EQ(S->stats().Evictions, 2u);
-}
 
-TEST(Store, PinnedEntriesSurviveEviction) {
-  vm::VMProgram P = buildVM(syntheticSource(6));
-  ASSERT_GE(P.Functions.size(), 4u);
-  StoreOptions Opts;
-  Opts.CacheBudgetBytes = 1; // Every insertion is over budget.
-  std::unique_ptr<CodeStore> S = mustBuildStore(P, "vm-compact", Opts);
-
-  ASSERT_TRUE(S->pin(0).ok());
-  EXPECT_EQ(S->stats().PinnedFunctions, 1u);
-  // Re-pinning an entry this store already pins takes no second
-  // reference: the one unpin below must release it.
-  ASSERT_TRUE(S->pin(0).ok());
-  ASSERT_TRUE(S->fault(1).ok());
-  ASSERT_TRUE(S->fault(2).ok());
-  EXPECT_TRUE(S->isResident(0)) << "pinned entries are not victims";
-  EXPECT_FALSE(S->isResident(1));
-  EXPECT_TRUE(S->isResident(2)) << "the newest insertion always stays";
-
-  // Pinning an already-resident entry goes through the hit path.
-  ASSERT_TRUE(S->pin(2).ok());
-  EXPECT_EQ(S->stats().PinnedFunctions, 2u);
-  ASSERT_TRUE(S->fault(3).ok());
-  EXPECT_TRUE(S->isResident(0));
-  EXPECT_TRUE(S->isResident(2));
-
-  S->unpin(0);
-  EXPECT_EQ(S->stats().PinnedFunctions, 1u);
-  ASSERT_TRUE(S->fault(1).ok());
-  EXPECT_FALSE(S->isResident(0)) << "unpin makes it evictable again";
+  // A 1-byte budget holds exactly the newest insertion; a hit on it
+  // evicts nothing.
+  Opts.CacheBudgetBytes = 1;
+  std::unique_ptr<CodeStore> T = mustBuildStore(P, "flate", Opts);
+  ASSERT_TRUE(T->fault(0).ok());
+  ASSERT_TRUE(T->fault(1).ok());
+  ASSERT_TRUE(T->fault(2).ok());
+  EXPECT_FALSE(T->isResident(0));
+  EXPECT_FALSE(T->isResident(1));
+  EXPECT_TRUE(T->isResident(2)) << "the newest insertion always stays";
+  EXPECT_EQ(T->stats().Evictions, 2u);
+  EXPECT_EQ(T->stats().ResidentBytes, C2);
+  ASSERT_TRUE(T->fault(2).ok());
+  EXPECT_EQ(T->stats().Hits, 1u);
+  EXPECT_EQ(T->stats().Evictions, 2u);
+  EXPECT_TRUE(T->isResident(2));
 }
 
 // N threads faulting the same cold function: exactly one decode, the

@@ -10,14 +10,15 @@
 // per-function codec chain, at any page target, at generous and
 // pathological budgets, and at any hot threshold (including "compile
 // everything at first entry"). Plus the cache mechanics: threshold
-// semantics, eviction under a 1-byte compiled budget, pinning, and an
-// 8-thread compile-vs-fault race that must stay tsan-clean and perform
-// exactly one compile per function (single-flight).
+// semantics, eviction under a 1-byte compiled budget, the failed-compile
+// memo, and an 8-thread compile-vs-fault race that must stay tsan-clean
+// and perform exactly one compile per function (single-flight).
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "pipeline/Pipeline.h"
 #include "store/CodeStore.h"
 #include "store/Resolver.h"
 #include "store/Tiered.h"
@@ -186,43 +187,47 @@ TEST(Tiered, TinyCompiledBudgetEvictsButStaysCorrect) {
   vm::RunResult R = runTieredFromStore(*S, TO, {}, &TS);
   expectSameRun(R, Eager, "tiny-compiled-budget");
   EXPECT_GT(TS.Evictions, 0u);
-  EXPECT_LE(TS.ResidentUnits, 2u); // Most-recent unit + at most a pin.
+  EXPECT_LE(TS.ResidentUnits, 1u); // Only the most recent unit.
 }
 
-// Pinned units ignore the budget: pin every function under a 1-byte
-// budget and nothing can be evicted.
-TEST(Tiered, PinnedUnitsSurviveEviction) {
-  vm::VMProgram P = buildVM(syntheticSource(6));
-  std::unique_ptr<CodeStore> S = mustBuildStore(P, "flate", StoreOptions());
-  ASSERT_NE(S, nullptr);
+// A function whose frame is corrupt fails its compile once; the
+// resolver remembers the failure, so later entries interpret (and trap
+// with the store's typed error) instead of decoding again.
+TEST(Tiered, FailedCompileIsNotRetried) {
+  vm::VMProgram P = buildVM(syntheticSource(5));
+  std::unique_ptr<CodeStore> Built = mustBuildStore(P, "flate", StoreOptions());
+  ASSERT_NE(Built, nullptr);
+
+  // Frame 0 is the manifest; replace the entry function's frame with
+  // junk flate rejects.
+  Result<pipeline::Container> Box =
+      pipeline::tryUnpackContainer(Built->save());
+  ASSERT_TRUE(Box.ok());
+  uint32_t Victim = Built->skeleton().Entry;
+  Box.value().Frames[Victim + 1] = {1, 2, 3};
+  Result<std::unique_ptr<CodeStore>> L = CodeStore::tryLoad(
+      pipeline::packContainer(Box.value().ChainSpec, Box.value().Frames),
+      StoreOptions());
+  ASSERT_TRUE(L.ok()) << L.error().message();
+  std::unique_ptr<CodeStore> S = L.take();
+  Result<std::shared_ptr<const vm::VMFunction>> Bad = S->fault(Victim);
+  ASSERT_FALSE(Bad.ok());
+  const std::string Typed = Bad.error().message();
 
   TierOptions TO;
-  TO.HotThreshold = ~0ull; // Only pinCompiled may compile.
-  TO.CompiledBudgetBytes = 1;
+  TO.HotThreshold = 0;
   TieredResolver Rv(*S, TO);
-  uint32_t N = S->functionCount();
-  for (uint32_t Fn = 0; Fn != N; ++Fn)
-    ASSERT_TRUE(Rv.pinCompiled(Fn)) << "fn " << Fn;
-  for (uint32_t Fn = 0; Fn != N; ++Fn)
-    EXPECT_TRUE(Rv.isCompiled(Fn)) << "fn " << Fn;
-  TierStats TS = Rv.tierStats();
-  EXPECT_EQ(TS.Compiles, uint64_t(N));
-  EXPECT_EQ(TS.PinnedUnits, uint64_t(N));
-  EXPECT_EQ(TS.Evictions, 0u);
-  EXPECT_EQ(TS.ResidentUnits, uint64_t(N));
-
-  // Unpin everything; the next compile-triggering access may now evict.
-  for (uint32_t Fn = 0; Fn != N; ++Fn)
-    Rv.unpinCompiled(Fn);
-  EXPECT_EQ(Rv.tierStats().PinnedUnits, 0u);
-
-  // The pinned resolver still runs the program correctly.
-  vm::RunResult Eager = vm::runProgram(P);
-  ASSERT_TRUE(Eager.Ok) << Eager.Trap;
-  vm::RunOptions Opts;
-  Opts.Resolver = &Rv;
-  vm::Machine M(S->skeleton(), Opts);
-  expectSameRun(M.run(), Eager, "pinned-run");
+  for (int Run = 0; Run != 2; ++Run) {
+    vm::RunOptions Opts;
+    Opts.Resolver = &Rv;
+    vm::Machine M(S->skeleton(), Opts);
+    vm::RunResult R = M.run();
+    EXPECT_FALSE(R.Ok) << "run " << Run;
+    EXPECT_NE(R.Trap.find(Typed), std::string::npos)
+        << "run " << Run << ": " << R.Trap;
+  }
+  EXPECT_EQ(Rv.tierStats().CompileErrors, 1u);
+  EXPECT_EQ(Rv.tierStats().Compiles, 0u);
 }
 
 // Stats reset preserves residency gauges while zeroing the counters.
